@@ -208,13 +208,13 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkResilience measures the supervision tax: the same parallel
-// census (the BENCH_explore election workload through the streaming
-// ParallelVisit path) run plain and with the supervisor fully armed —
-// retry budget, deterministic backoff, and the heartbeat stall watchdog
-// at a timeout no healthy root ever hits. No chaos is injected: this is
-// the cost of the machinery alone (a heartbeat closure per simulator
-// step, watchdog timers on every root handoff, claim bookkeeping).
+// BenchmarkResilience measures the supervision tax of the work-stealing
+// pool: the same unpruned parallel census (the BENCH_explore election
+// workload) run plain and with the supervisor fully armed — retry
+// budget, deterministic backoff, and the heartbeat stall watchdog at a
+// timeout no healthy item ever hits. No chaos is injected: this is the
+// cost of the machinery alone (a heartbeat closure per simulator step,
+// the watchdog's claim sampling, claim bookkeeping).
 // scripts/bench_resilience.sh pairs the two rows per workload and
 // enforces the <5% overhead acceptance bound.
 func BenchmarkResilience(b *testing.B) {

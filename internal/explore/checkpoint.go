@@ -16,14 +16,14 @@ import (
 // Checkpointed census exploration: long-running censuses periodically
 // persist their progress so a killed process can resume instead of
 // restarting. The unit of checkpointing is a frontier root (the same
-// subtree split parallel exploration uses): roots are deterministic
+// subtree split every pooled census uses): roots are deterministic
 // given the builder and options, each root's census summary is
-// self-contained, and a summary is only ever recorded after its subtree
-// was fully explored — so a resumed run credits recorded roots and
-// re-explores the rest, landing on the exact census a single
-// uninterrupted run produces. Representative violation outcomes are
-// persisted as schedules and rebuilt by replay on load, so the file
-// stays small and plain JSON.
+// self-contained, and a summary is only ever recorded after its root
+// settled — every item of its subtree resolved — so a resumed run
+// credits recorded roots and re-explores the rest, landing on the exact
+// census a single uninterrupted run produces. Representative violation
+// outcomes are persisted as schedules and rebuilt by replay on load, so
+// the file stays small and plain JSON.
 
 // Checkpoint configures RunCheckpointed.
 type Checkpoint struct {
@@ -48,7 +48,8 @@ type Checkpoint struct {
 
 // CheckpointStats reports what a checkpointed run did.
 type CheckpointStats struct {
-	// TotalRoots is the number of subtree roots in the frontier.
+	// TotalRoots is the number of frontier roots to explore; orbit
+	// twins, credited from their representative, are not counted.
 	TotalRoots int
 	// ResumedRoots is how many were credited from the checkpoint file.
 	ResumedRoots int
@@ -68,20 +69,6 @@ type CheckpointStats struct {
 // errStopped reports a run aborted by the stopAfterRoots test hook.
 var errStopped = errors.New("explore: checkpointed run stopped")
 
-// ckRoot is one fully explored subtree in the checkpoint file.
-type ckRoot struct {
-	Complete   int            `json:"complete"`
-	Incomplete int            `json:"incomplete"`
-	Outcomes   map[string]int `json:"outcomes,omitempty"`
-	Violations int            `json:"violations"`
-	Reps       [][]Choice     `json:"reps,omitempty"`
-	Capped     bool           `json:"capped,omitempty"`
-	// Err is kept for decoding files from before the supervisor;
-	// failed roots are no longer persisted (so a resume retries them)
-	// and Err'd records from old files are simply not credited.
-	Err string `json:"err,omitempty"`
-}
-
 // ckFile is the checkpoint file layout.
 type ckFile struct {
 	// Key fingerprints the exploration (options + frontier prefixes):
@@ -94,142 +81,92 @@ type ckFile struct {
 	// flag, and silently restarting would explore under the wrong
 	// reduction). Zero/empty in files from before this split — those
 	// degrade to the old ignore-with-warning behavior.
-	Frontier uint64            `json:"frontier,omitempty"`
-	Opts     string            `json:"opts,omitempty"`
-	Done     map[string]ckRoot `json:"done"`
+	Frontier uint64                 `json:"frontier,omitempty"`
+	Opts     string                 `json:"opts,omitempty"`
+	Done     map[string]RootSummary `json:"done"`
 }
 
 // RunCheckpointed is Run with periodic progress persistence. It
-// explores the frontier roots on Options.Workers workers under the
-// supervisor (retry with backoff, stall watchdog, chaos when
-// configured), records each fully explored root, saves every
-// Checkpoint.Every completions, and — with Checkpoint.Resume — skips
-// roots recorded by a previous (interrupted) invocation with the same
-// builder and options. The final census is bit-identical to Run's in
-// every count; like parallel censuses, only the ≤5 recorded
-// representatives may differ, and MaxRuns is enforced per subtree
+// explores the frontier roots on the work-stealing pool with
+// Options.Workers workers — donation, orbit-twin skipping, retry with
+// backoff, the stall watchdog and chaos all as in Run — records each
+// root as it settles, saves every Checkpoint.Every settled roots, and —
+// with Checkpoint.Resume — credits roots recorded by a previous
+// (interrupted) invocation with the same builder and options. The final
+// census is bit-identical to Run's, violation representatives
+// included; like every pooled census, MaxRuns is enforced per pool item
 // rather than globally.
 //
-// Cancellation through Options.Context is root-granular: in-flight
-// roots are discarded, completed ones are flushed to the checkpoint,
-// and the returned census carries the completed roots' counts with
-// Cancelled set — resuming later completes to the identical census.
-// Roots that exhaust the supervisor's attempt budget are reported in
-// FailedRoots and deliberately NOT persisted, so a resume retries them.
+// Cancellation through Options.Context stops the pool: settled roots
+// are flushed to the checkpoint, and the returned census carries them
+// plus whatever the live attempts had walked, with Cancelled set —
+// resuming later completes to the identical census. Roots that exhaust
+// the supervisor's attempt budget are reported in FailedRoots and
+// deliberately NOT persisted, so a resume retries them.
 //
 // If the tree cannot be frontier-split under MaxRuns, it falls back to
 // a plain Run with no checkpointing (stats zero).
 func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint) (*Census, CheckpointStats, error) {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		// Resolve symmetry up front so the Canonicalizer is built and
-		// audited once and rides through Options into every root engine.
-		// A refusal also lands here (Symmetry flips off), making the
-		// checkpoint key fold the EFFECTIVE reducer set deterministically.
-		opts = resolveSymmetry(b, opts)
-	}
 	var stats CheckpointStats
-	workers := opts.workerCount()
-	items, ok := frontier(b, opts, workers)
+	pl, ok := NewDistPlan(b, opts, check)
 	if !ok {
 		return Run(b, opts, check), stats, nil
 	}
-	key := checkpointKey(opts, items)
-	optsFP := optionsFingerprint(opts)
-	frontierFP := frontierFingerprint(items)
-	done := make(map[int]ckRoot)
-	resolved := make([]bool, len(items))
-	for _, it := range items {
-		if it.prefix != nil {
-			stats.TotalRoots++
-		}
-	}
+	stats.TotalRoots = len(pl.Roots())
+	done := make(map[int]RootSummary)
+	var resumed map[int]RootSummary
 	if ck.Resume {
-		f, warn := loadCheckpointTolerant(ck.Path)
-		switch {
-		case f == nil:
-			stats.Warning = warn
-		case f.Key != key:
-			// Same exploration tree but different engine options is a
-			// hard error: the caller believes they are resuming the run
-			// that wrote the checkpoint, and silently starting fresh
-			// would explore under the wrong reduction/budget settings.
-			// (Files from before the Frontier/Opts split carry neither
-			// field and keep the old ignore-with-warning behavior.)
-			if f.Frontier == frontierFP && f.Opts != "" && f.Opts != optsFP {
-				return nil, stats, fmt.Errorf(
-					"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
-					ck.Path, f.Opts, optsFP)
-			}
-			stats.Warning = "checkpoint ignored: key mismatch (different builder or options); starting fresh"
-		default:
-			for k, v := range f.Done {
-				if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
-					items[i].prefix != nil && v.Err == "" {
-					done[i] = v
-					resolved[i] = true
-				}
-			}
-			stats.ResumedRoots = len(done)
+		var err error
+		if resumed, stats.Warning, err = pl.LoadCheckpoint(ck.Path); err != nil {
+			return nil, stats, err
 		}
+		for i, r := range resumed {
+			done[i] = r
+		}
+		stats.ResumedRoots = len(resumed)
 	}
 	every := ck.Every
 	if every <= 0 {
 		every = 8
 	}
-
 	var table *pruneTable
-	if opts.Prune {
-		table = newPruneTable(opts.PruneTableEntries)
+	if pl.opts.Prune {
+		table = newPruneTable(pl.opts.PruneTableEntries)
 	}
 
-	ctx := opts.ctx()
-	// stopCtx lets the stopAfterRoots test hook cancel the pool through
+	// stop lets the stopAfterRoots test hook cancel the pool through
 	// the same path a real kill or deadline takes.
-	stopCtx, stopCancel := context.WithCancel(ctx)
-	defer stopCancel()
-	cfg := opts.supervise()
-	wb := cfg.wrapChaos(b)
-
+	ctx, stop := context.WithCancel(pl.opts.ctx())
+	defer stop()
 	var (
-		saveMu    sync.Mutex
-		unsaved   int
-		newlyDone int
-		hookStop  bool
+		saveMu   sync.Mutex
+		unsaved  int
+		newly    int
+		hookStop bool
 	)
 	save := func() error { // callers hold saveMu
-		f := ckFile{Key: key, Frontier: frontierFP, Opts: optsFP, Done: make(map[string]ckRoot, len(done))}
-		for i, r := range done {
-			f.Done[strconv.Itoa(i)] = r
-		}
-		if err := saveCheckpoint(ck.Path, &f); err != nil {
+		if err := pl.SaveCheckpoint(ck.Path, done); err != nil {
 			return err
 		}
 		stats.Saves++
 		unsaved = 0
 		return nil
 	}
-	onResolve := func(i int, r ckRoot) {
+	c, cfg := poolCensus(ctx, pl, table, resumed, func(i int, s *summary, capped bool) {
 		saveMu.Lock()
-		done[i] = r
-		newlyDone++
+		done[i] = s.record(capped)
+		newly++
 		unsaved++
 		if unsaved >= every {
 			save() // best-effort mid-run; the final save reports errors
 		}
-		stop := ck.stopAfterRoots > 0 && newlyDone >= ck.stopAfterRoots && !hookStop
-		if stop {
-			hookStop = true
-		}
+		stopNow := ck.stopAfterRoots > 0 && newly >= ck.stopAfterRoots && !hookStop
+		hookStop = hookStop || stopNow
 		saveMu.Unlock()
-		if stop {
-			stopCancel()
+		if stopNow {
+			stop()
 		}
-	}
-	task := func(tctx context.Context, i int, beat func()) (ckRoot, bool) {
-		return exploreRoot(tctx, wb, opts, check, table, items[i].prefix, beat)
-	}
-	_, _, failedMap, cancelled := superviseRoots(stopCtx, items, workers, cfg, resolved, task, onResolve)
+	})
 	stats.Retries = int(cfg.stats.Retries.Load())
 	stats.Requeues = int(cfg.stats.Requeues.Load())
 
@@ -242,84 +179,53 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	if hookStop {
 		return nil, stats, errStopped
 	}
-
-	// Deterministic merge in DFS root order, exactly like pruneCensus.
-	// Under cancellation this still runs: completed roots' counts are
-	// real, missing ones mark the census non-exhaustive.
-	total := newSummary()
-	exhaustive := !cancelled
-	var failures []RootFailure
-	for i, it := range items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, check)
-			continue
-		}
-		if f, lost := failedMap[i]; lost {
-			failures = append(failures, f)
-			exhaustive = false
-			continue
-		}
-		r, explored := done[i]
-		if !explored {
-			exhaustive = false // cancelled before this root was explored
-			continue
-		}
-		total.merge(r.toSummary(b, opts))
-		if r.Capped {
-			exhaustive = false
-		}
-	}
-	c := censusFrom(total, exhaustive)
-	c.FailedRoots = failures
-	c.Errors = failureStrings(failures)
-	c.Cancelled = cancelled
-	if table != nil {
-		c.Prune = table.statsSnapshot()
-		opts.markReducers(c.Prune)
-	}
 	return c, stats, nil
 }
 
-// exploreRoot fully explores one subtree. Panics propagate: the
-// supervisor recovers them and owns the retry policy. A true second
-// return value means the context was cancelled mid-root and the partial
-// record must be discarded.
-func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (ckRoot, bool) {
-	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, root: prefix, ctx: ctx, onStep: beat}
-	en.run()
-	if en.cancelled {
-		return ckRoot{}, true
+// LoadCheckpoint loads a checkpoint file for resume and returns the
+// recorded roots it credits. It is the one resume routine —
+// RunCheckpointed, ExploreSubtree and the census daemon's coordinator
+// all go through it: a missing file is a silent fresh start, a corrupt
+// or foreign file is ignored with a warning, and a file recording the
+// same exploration under different engine options is a hard error.
+// Records carrying the legacy Err field are not credited.
+func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
+	f, warn := loadCheckpointTolerant(path)
+	switch {
+	case f == nil:
+		return nil, warn, nil
+	case f.Key != p.key:
+		// Same exploration tree but different engine options is a hard
+		// error: the caller believes they are resuming the run that
+		// wrote the checkpoint, and silently starting fresh would
+		// explore under the wrong reduction/budget settings. (Files from
+		// before the Frontier/Opts split, and subtree checkpoints, carry
+		// neither field and start fresh with a warning.)
+		if f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
+			return nil, "", fmt.Errorf(
+				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
+				path, f.Opts, p.optsFP)
+		}
+		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
 	}
-	out := ckRoot{
-		Complete:   en.acc.complete,
-		Incomplete: en.acc.incomplete,
-		Outcomes:   en.acc.outcomes,
-		Violations: en.acc.violations,
-		Capped:     en.capped,
+	done := make(map[int]RootSummary)
+	for k, v := range f.Done {
+		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(p.items) &&
+			p.items[i].prefix != nil && v.Err == "" {
+			done[i] = v
+		}
 	}
-	for _, rep := range en.acc.reps {
-		out.Reps = append(out.Reps, rep.Schedule)
-	}
-	return out, false
+	return done, "", nil
 }
 
-// toSummary rebuilds a summary from its persisted form, replaying the
-// recorded representative schedules to recover their Results.
-func (r ckRoot) toSummary(b Builder, opts Options) *summary {
-	s := &summary{
-		complete:   r.Complete,
-		incomplete: r.Incomplete,
-		outcomes:   make(map[string]int, len(r.Outcomes)),
-		violations: r.Violations,
+// SaveCheckpoint persists the completed roots atomically and durably,
+// in the standard checkpoint file format.
+func (p *DistPlan) SaveCheckpoint(path string, done map[int]RootSummary) error {
+	f := ckFile{Key: p.key, Frontier: p.frontierFP, Opts: p.optsFP, Done: make(map[string]RootSummary, len(done))}
+	for i, r := range done {
+		f.Done[strconv.Itoa(i)] = r
 	}
-	for k, v := range r.Outcomes {
-		s.outcomes[k] = v
-	}
-	for _, sched := range r.Reps {
-		res, _ := replayPrefix(b, opts, sched)
-		s.reps = append(s.reps, Outcome{Schedule: sched, Result: res})
-	}
-	return s
+	return saveCheckpoint(path, &f)
 }
 
 // optionsFingerprint renders the option fields that shape the census —
@@ -341,28 +247,14 @@ func foldString(h uint64, s string) uint64 {
 	return h
 }
 
-// frontierFingerprint hashes every frontier prefix. Builders are
-// functions and cannot be hashed directly; the frontier, being the
-// builder's observable branching structure down to the split, stands
-// in for it.
-func frontierFingerprint(items []frontierItem) uint64 {
-	h := uint64(fnvOffset)
-	for _, it := range items {
-		if it.prefix != nil {
-			h = foldString(h, "|"+FormatSchedule(it.prefix))
-		} else {
-			h = foldString(h, "|leaf:"+FormatSchedule(it.leaf.Schedule))
-		}
-	}
-	return h
-}
-
-// checkpointKey fingerprints the exploration: the option fields that
-// shape the tree plus every frontier prefix. The fold order (options
-// string, then prefixes) is preserved from earlier releases so their
-// checkpoints still resume.
-func checkpointKey(opts Options, items []frontierItem) uint64 {
-	h := foldString(uint64(fnvOffset), optionsFingerprint(opts))
+// foldFrontier continues an FNV-1a fold over every frontier item —
+// a root's prefix or a leaf's schedule. Builders are functions and
+// cannot be hashed directly; the frontier, being the builder's
+// observable branching structure down to the split, stands in for it.
+// A checkpoint key folds the options string first, then the frontier;
+// that order is preserved from earlier releases so their checkpoints
+// still resume.
+func foldFrontier(h uint64, items []frontierItem) uint64 {
 	for _, it := range items {
 		if it.prefix != nil {
 			h = foldString(h, "|"+FormatSchedule(it.prefix))

@@ -2,30 +2,96 @@ package explore
 
 import (
 	"context"
-	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/sim"
 )
 
-// Distributed census support: the exported view of the machinery
-// RunCheckpointed builds on, so a coordinator process can shard an
-// exploration's frontier roots over remote workers and merge the
-// returned partial censuses under the exact discipline the local
-// engines use. The unit of distribution is the same unit the
-// work-stealing pool and the checkpoint file use — a subtree root's
-// schedule prefix — and the merge is the same deterministic
-// DFS-root-order fold, so a distributed census is bit-identical in
-// every count to a single-process run. Only engine telemetry (prune
-// table hit/miss counters) is process-local and not aggregated.
+// Frontier splitting and the one root-order merge. A split census cuts
+// the tree at a shallow depth into an ordered frontier of subtree roots
+// (plus the terminal runs that end above the split), explores the roots
+// somewhere — on the local work-stealing pool (steal.go), from a
+// checkpoint file (checkpoint.go), or on remote workers through the
+// exported DistPlan view below — and folds the per-root summaries back
+// together in DFS root order (DistPlan.fold). Every path shares that
+// fold, so a pooled, resumed or distributed census is bit-identical in
+// every count to a single-process sequential walk. Only engine
+// telemetry (prune table hit/miss counters) is process-local and not
+// aggregated across processes.
+
+// frontierItem is one entry of the split frontier, in sequential DFS
+// order: either a terminal run above the split (leaf) or a subtree
+// root's schedule prefix.
+type frontierItem struct {
+	leaf   *Outcome
+	prefix []Choice
+}
+
+// frontier enumerates the tree down to a split depth chosen so that
+// there are comfortably more roots than workers (≥8× for load balance).
+// ok is false when enumeration hit MaxRuns or the context was cancelled
+// — the caller should fall back to a sequential walk, which owns the
+// exact cap/cancel semantics.
+func frontier(b Builder, opts Options, workers int) ([]frontierItem, bool) {
+	for split := 1; ; split++ {
+		items, roots, ok := splitAt(opts.Context, b, opts, nil, split)
+		if !ok {
+			return nil, false
+		}
+		// Stop growing the split when there is enough parallelism, when
+		// the whole tree is above the split (roots == 0), or when the
+		// split would swallow the depth budget (deep narrow trees).
+		if roots >= 8*workers || roots == 0 || split+1 >= opts.MaxDepth || split >= 24 {
+			return items, true
+		}
+	}
+}
+
+// subFrontier splits the subtree rooted at prefix at a shallow depth,
+// mirroring frontier's split policy relative to the prefix. nil means
+// the subtree is not worth splitting (or enumeration was capped or
+// cancelled) and the caller should explore it monolithically.
+func subFrontier(ctx context.Context, b Builder, opts Options, prefix []Choice) []frontierItem {
+	base := len(prefix)
+	for split := 1; ; split++ {
+		items, roots, ok := splitAt(ctx, b, opts, prefix, split)
+		if !ok || (roots == 0 && split == 1) {
+			return nil // capped, cancelled, or a handful of terminal runs
+		}
+		if roots >= 8 || roots == 0 || base+split+1 >= opts.MaxDepth || split >= 12 {
+			return items
+		}
+	}
+}
+
+// splitAt enumerates the subtree under prefix down to split choices
+// below it: every schedule still running at that depth becomes a root,
+// every run ending above it a leaf.
+func splitAt(ctx context.Context, b Builder, opts Options, prefix []Choice, split int) (items []frontierItem, roots int, ok bool) {
+	depth := len(prefix) + split
+	shallow := opts
+	shallow.MaxDepth = depth
+	en := &engine{b: b, opts: shallow, root: prefix, ctx: ctx, visit: func(o Outcome) bool {
+		if o.Result.Halted && len(o.Schedule) == depth {
+			items = append(items, frontierItem{prefix: o.Schedule})
+			roots++
+		} else {
+			// A genuine terminal of the full tree: it completed (or hit
+			// MaxStepsPerProc crashes) before the split depth.
+			oc := o
+			items = append(items, frontierItem{leaf: &oc})
+		}
+		return true
+	}}
+	en.run()
+	return items, roots, !en.capped && !en.cancelled
+}
 
 // RootSummary is the census of one fully explored subtree root, in the
-// form that crosses process boundaries: plain counts plus violation
-// representatives flattened to schedules. It is the exported twin of
-// the checkpoint file's per-root record, and the two convert exactly —
-// a coordinator checkpoint written from remote results resumes into a
-// local run and vice versa.
+// form that crosses process boundaries and persists in checkpoint
+// files: plain counts plus violation representatives flattened to
+// schedules. A coordinator checkpoint written from remote results
+// resumes into a local run and vice versa.
 type RootSummary struct {
 	Complete   int            `json:"complete"`
 	Incomplete int            `json:"incomplete"`
@@ -33,26 +99,40 @@ type RootSummary struct {
 	Violations int            `json:"violations"`
 	Reps       [][]Choice     `json:"reps,omitempty"`
 	Capped     bool           `json:"capped,omitempty"`
+	// Err is only ever set in checkpoint records written before failed
+	// roots stopped being persisted; such a record is never credited,
+	// so a resume retries the root.
+	Err string `json:"err,omitempty"`
 }
 
-func (r RootSummary) ck() ckRoot {
-	return ckRoot{
-		Complete: r.Complete, Incomplete: r.Incomplete, Outcomes: r.Outcomes,
-		Violations: r.Violations, Reps: r.Reps, Capped: r.Capped,
+// record flattens a summary into its persisted form.
+func (s *summary) record(capped bool) RootSummary {
+	r := RootSummary{
+		Complete: s.complete, Incomplete: s.incomplete, Outcomes: s.outcomes,
+		Violations: s.violations, Capped: capped,
 	}
-}
-
-func summaryFromCk(r ckRoot) RootSummary {
-	return RootSummary{
-		Complete: r.Complete, Incomplete: r.Incomplete, Outcomes: r.Outcomes,
-		Violations: r.Violations, Reps: r.Reps, Capped: r.Capped,
+	for _, rep := range s.reps {
+		r.Reps = append(r.Reps, rep.Schedule)
 	}
+	return r
 }
 
-// DistPlan is one exploration split into its distributable work items.
-// It is built coordinator-side from the same builder and options a
-// local run would use; Prefix(i) hands out the per-root work items,
-// Merge folds the returned summaries back together, and the checkpoint
+// summary rebuilds a summary from its persisted form, replaying the
+// recorded representative schedules to recover their Results.
+func (r RootSummary) summary(b Builder, opts Options) *summary {
+	s := &summary{complete: r.Complete, incomplete: r.Incomplete, outcomes: r.Outcomes, violations: r.Violations}
+	for _, sched := range r.Reps {
+		res, _ := replayPrefix(b, opts, sched)
+		s.addRep(&rep{Outcome: Outcome{Schedule: sched, Result: res}, key: dfsKey(sched, opts.FaultModes)})
+	}
+	return s
+}
+
+// DistPlan is one exploration split into its frontier roots. Local
+// pooled and checkpointed censuses run on it, and a coordinator process
+// builds it from the same builder and options to shard the roots over
+// remote workers: Prefix(i) hands out the per-root work items, Merge
+// folds the returned summaries back together, and the checkpoint
 // methods persist progress in the exact file format RunCheckpointed
 // writes — so a job started locally can finish distributed and the
 // other way round.
@@ -64,7 +144,7 @@ type DistPlan struct {
 
 	// orbit, when non-nil (symmetry resolved), partitions the roots
 	// into symmetry-orbit representatives and twins: Roots() hands out
-	// only representatives, and Merge credits each twin its rep's
+	// only representatives, and the fold credits each twin its rep's
 	// summary renamed into the twin's orientation (orbit.go). The
 	// checkpoint key and item indexing are unchanged — a checkpoint
 	// written by a non-orbit run resumes exactly, recorded twins
@@ -76,7 +156,7 @@ type DistPlan struct {
 	frontierFP uint64
 
 	// Local-fallback execution shares one transposition table across
-	// roots, like RunCheckpointed.
+	// roots.
 	tableOnce sync.Once
 	table     *pruneTable
 }
@@ -90,15 +170,20 @@ func NewDistPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistP
 	if opts.Prune {
 		opts = resolveSymmetry(b, opts)
 	}
+	return newPlan(b, opts, check)
+}
+
+// newPlan is NewDistPlan for already-resolved options.
+func newPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistPlan, bool) {
 	items, ok := frontier(b, opts, opts.workerCount())
 	if !ok {
 		return nil, false
 	}
+	optsFP := optionsFingerprint(opts)
 	p := &DistPlan{
-		b: b, opts: opts, check: check, items: items,
-		key:        checkpointKey(opts, items),
-		optsFP:     optionsFingerprint(opts),
-		frontierFP: frontierFingerprint(items),
+		b: b, opts: opts, check: check, items: items, optsFP: optsFP,
+		key:        foldFrontier(foldString(fnvOffset, optsFP), items),
+		frontierFP: foldFrontier(fnvOffset, items),
 	}
 	if opts.canon != nil {
 		p.orbit = orbitPartition(b, opts, items)
@@ -140,77 +225,60 @@ func (p *DistPlan) OptionsFingerprint() string { return p.optsFP }
 // Key is the exploration's checkpoint key (options + frontier).
 func (p *DistPlan) Key() uint64 { return p.key }
 
-// LoadCheckpoint loads the plan's checkpoint file, crediting recorded
-// roots. Semantics match RunCheckpointed's resume exactly: a missing
-// file is a silent fresh start, a corrupt or foreign file is ignored
-// with a warning, and a file recording the same exploration under
-// different engine options is a hard error.
-func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
-	f, warn := loadCheckpointTolerant(path)
-	switch {
-	case f == nil:
-		return nil, warn, nil
-	case f.Key != p.key:
-		if f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
-			return nil, "", fmt.Errorf(
-				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
-				path, f.Opts, p.optsFP)
-		}
-		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
-	}
-	done := make(map[int]RootSummary)
-	for k, v := range f.Done {
-		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(p.items) &&
-			p.items[i].prefix != nil && v.Err == "" {
-			done[i] = summaryFromCk(v)
-		}
-	}
-	return done, "", nil
-}
-
-// SaveCheckpoint persists the completed roots atomically and durably,
-// in the standard checkpoint file format.
-func (p *DistPlan) SaveCheckpoint(path string, done map[int]RootSummary) error {
-	f := ckFile{Key: p.key, Frontier: p.frontierFP, Opts: p.optsFP, Done: make(map[string]ckRoot, len(done))}
-	for i, r := range done {
-		f.Done[strconv.Itoa(i)] = r.ck()
-	}
-	return saveCheckpoint(path, &f)
-}
-
 // ExploreRootLocal fully explores root i in this process — the
 // coordinator's degraded mode when no remote workers are available.
-// Roots explored locally share one transposition table, like
-// RunCheckpointed. cancelled is true when ctx ended the attempt; the
-// partial summary must be discarded.
+// Roots explored locally share one transposition table. cancelled is
+// true when ctx ended the attempt; the partial summary must be
+// discarded.
 func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, bool) {
 	if p.opts.Prune {
 		p.tableOnce.Do(func() { p.table = newPruneTable(p.opts.PruneTableEntries) })
 	}
-	r, cancelled := exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
-	return summaryFromCk(r), cancelled
+	return exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
 }
 
-// Merge folds per-root summaries back into a census, in DFS root order
-// — the identical fold RunCheckpointed and the shared-table engine
-// use, so counts, outcome histograms, violation counts and recorded
+// Merge folds per-root summaries back into a census in DFS root order
+// (fold), so counts, outcome histograms, violation counts and recorded
 // representatives all match a single-process run. Roots present in
-// neither done nor failed mark the census cancelled-and-partial.
-// Under an orbit partition a twin with no recorded summary of its own
-// (the normal case — Roots never hands twins out) is credited its
-// representative's summary renamed through the composed orientation,
-// and the skips are reported in Census.Prune.OrbitSkips. Otherwise
+// neither done nor failed mark the census cancelled-and-partial. Under
+// an orbit partition the twins are credited from their representatives
+// and the skips reported in Census.Prune.OrbitSkips; otherwise
 // Census.Prune is nil: prune counters are per-process telemetry and do
 // not aggregate across workers.
 func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *Census {
-	total := newSummary()
-	exhaustive := true
-	cancelled := false
-	var orbitSkips uint64
+	c, orbitSkips := p.fold(newSummary(), func(i int) (*summary, bool, bool) {
+		r, ok := done[i]
+		if !ok {
+			return nil, false, false
+		}
+		return r.summary(p.b, p.opts), r.Capped, true
+	}, failed)
+	if p.orbit != nil {
+		st := &PruneStats{OrbitSkips: orbitSkips}
+		p.opts.markReducers(st)
+		c.Prune = st
+	}
+	return c
+}
+
+// fold is the one root-order merge behind every split census: the pool
+// census, RunCheckpointed, Merge and ExploreSubtree's sub-roots. It
+// walks the frontier in DFS order into total, classifying leaves and
+// merging each root's summary, where root(i) reports root i's summary,
+// whether an item of it hit MaxRuns, and whether the summary covers the
+// whole subtree (settled). An orbit twin without a settled summary of
+// its own is credited its representative's, renamed into the twin's
+// orientation, and counted in orbitSkips; a twin of a lost
+// representative shares the rep's recorded deficit. A failed root
+// contributes nothing. A root neither settled nor failed leaves the
+// census cancelled, though any partial count it carries is merged.
+func (p *DistPlan) fold(total *summary, root func(i int) (s *summary, capped, settled bool),
+	failed map[int]RootFailure) (c *Census, orbitSkips uint64) {
+	exhaustive, cancelled := true, false
 	var failures []RootFailure
 	for i, it := range p.items {
 		if it.prefix == nil {
-			total.addTerminal(*it.leaf, p.check)
+			total.addTerminal(*it.leaf, p.check, p.opts.FaultModes)
 			continue
 		}
 		if f, lost := failed[i]; lost {
@@ -218,48 +286,32 @@ func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *
 			exhaustive = false
 			continue
 		}
-		r, explored := done[i]
-		if !explored {
-			if p.orbit != nil && p.orbit.rep[i] != i {
-				// Orbit twin: credit the representative's summary in the
-				// twin's own coordinates. A twin whose rep is unresolved
-				// shares the rep's disposition (the rep's own iteration
-				// already recorded the deficit).
-				j := p.orbit.rep[i]
-				if rj, ok := done[j]; ok {
-					total.mergeRenamed(rj.ck().toSummary(p.b, p.opts),
-						orbitRenamerRaw(p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
-					if rj.Capped {
-						exhaustive = false
-					}
-					orbitSkips++
-					continue
-				}
-				exhaustive = false
-				if _, lost := failed[j]; !lost {
-					cancelled = true
-				}
+		s, capped, settled := root(i)
+		if !settled && p.orbit != nil && p.orbit.rep[i] != i {
+			j := p.orbit.rep[i]
+			if _, lost := failed[j]; lost {
+				exhaustive = false // the rep's failure records the deficit
 				continue
 			}
-			exhaustive = false
-			cancelled = true
-			continue
+			if s, capped, settled = root(j); settled {
+				total.mergeRenamed(s, orbitRenamerRaw(p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
+				orbitSkips++
+			}
+		} else if s != nil {
+			total.merge(s)
 		}
-		total.merge(r.ck().toSummary(p.b, p.opts))
-		if r.Capped {
+		switch {
+		case !settled:
+			exhaustive, cancelled = false, true
+		case capped:
 			exhaustive = false
 		}
 	}
-	c := censusFrom(total, exhaustive)
+	c = censusFrom(total, exhaustive)
 	c.FailedRoots = failures
 	c.Errors = failureStrings(failures)
 	c.Cancelled = cancelled
-	if p.orbit != nil {
-		st := &PruneStats{OrbitSkips: orbitSkips}
-		p.opts.markReducers(st)
-		c.Prune = st
-	}
-	return c
+	return c, orbitSkips
 }
 
 // FingerprintOptions resolves opts against b (defaults plus the
@@ -311,193 +363,117 @@ type SubtreeStats struct {
 // checkpoint; the partial summary is discarded.
 func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
 	opts = opts.withDefaults()
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
-	}
-	var stats SubtreeStats
 	var table *pruneTable
 	if opts.Prune {
+		opts = resolveSymmetry(b, opts)
 		table = newPruneTable(opts.PruneTableEntries)
 	}
+	var stats SubtreeStats
 	if ck.Path == "" {
 		r, cancelled := exploreRoot(ctx, b, opts, check, table, prefix, beat)
 		if cancelled {
 			return RootSummary{}, stats, ctx.Err()
 		}
-		return summaryFromCk(r), stats, nil
+		return r, stats, nil
 	}
 
+	// The sub-checkpoint key extends the options fold with the work
+	// item's own prefix, so files from different roots (or jobs) never
+	// cross-resume. It records no frontier/options pair: a mismatched
+	// file is always a fresh start.
+	key := foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix))
 	items := subFrontier(ctx, b, opts, prefix)
-	if items == nil {
-		// Not splittable (tiny subtree, or enumeration hit the cap):
-		// explore monolithically, with a single-record checkpoint so a
-		// completed-but-undelivered item still resumes instantly.
-		key := foldString(uint64(fnvOffset), optionsFingerprint(opts))
-		key = foldString(key, "|item:"+FormatSchedule(prefix)+"|mono")
-		if ck.Resume {
-			if f, warn := loadCheckpointTolerant(ck.Path); f != nil && f.Key == key {
-				if v, ok := f.Done["0"]; ok && v.Err == "" {
-					stats.Resumed = 1
-					return summaryFromCk(v), stats, nil
-				}
-			} else {
-				stats.Warning = warn
+	mono := items == nil
+	if mono {
+		// Not splittable: explore monolithically, with a single-record
+		// checkpoint so a completed-but-undelivered item still resumes
+		// instantly.
+		items = []frontierItem{{prefix: prefix}}
+		key = foldString(key, "|mono")
+	} else {
+		key = foldFrontier(key, items)
+		for _, it := range items {
+			if it.prefix != nil {
+				stats.SubRoots++
 			}
 		}
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, prefix, beat)
-		if cancelled {
-			return RootSummary{}, stats, ctx.Err()
-		}
-		if err := saveCheckpoint(ck.Path, &ckFile{Key: key, Done: map[string]ckRoot{"0": r}}); err != nil {
-			return RootSummary{}, stats, err
-		}
-		stats.Saves++
-		return summaryFromCk(r), stats, nil
 	}
-	stats.SubRoots = 0
-	for _, it := range items {
-		if it.prefix != nil {
-			stats.SubRoots++
-		}
-	}
-
-	// The sub-checkpoint key extends the standard options fold with the
-	// work item's own prefix, so files from different roots (or jobs)
-	// never cross-resume.
-	key := foldString(uint64(fnvOffset), optionsFingerprint(opts))
-	key = foldString(key, "|item:"+FormatSchedule(prefix))
-	for _, it := range items {
-		if it.prefix != nil {
-			key = foldString(key, "|"+FormatSchedule(it.prefix))
-		} else {
-			key = foldString(key, "|leaf:"+FormatSchedule(it.leaf.Schedule))
-		}
-	}
-
-	done := make(map[int]ckRoot)
+	sub := &DistPlan{b: b, opts: opts, check: check, items: items, key: key}
+	done := make(map[int]RootSummary)
 	if ck.Resume {
-		f, warn := loadCheckpointTolerant(ck.Path)
-		switch {
-		case f == nil:
-			stats.Warning = warn
-		case f.Key != key:
-			stats.Warning = "subtree checkpoint ignored: key mismatch; starting fresh"
-		default:
-			for k, v := range f.Done {
-				if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
-					items[i].prefix != nil && v.Err == "" {
-					done[i] = v
-				}
-			}
-			stats.Resumed = len(done)
+		resumed, warn, _ := sub.LoadCheckpoint(ck.Path) // never refuses: no options recorded
+		for i, r := range resumed {
+			done[i] = r
 		}
+		stats.Resumed, stats.Warning = len(resumed), warn
 	}
 	every := ck.Every
 	if every <= 0 {
 		every = 4
 	}
+	unsaved := 0
 	save := func() error {
-		f := ckFile{Key: key, Done: make(map[string]ckRoot, len(done))}
-		for i, r := range done {
-			f.Done[strconv.Itoa(i)] = r
-		}
-		if err := saveCheckpoint(ck.Path, &f); err != nil {
+		if err := sub.SaveCheckpoint(ck.Path, done); err != nil {
 			return err
 		}
 		stats.Saves++
+		unsaved = 0
 		return nil
 	}
-
-	unsaved := 0
 	for i, it := range items {
-		if it.prefix == nil {
-			continue
-		}
-		if _, ok := done[i]; ok {
+		if _, ok := done[i]; ok || it.prefix == nil {
 			continue
 		}
 		r, cancelled := exploreRoot(ctx, b, opts, check, table, it.prefix, beat)
 		if cancelled {
-			_ = save() // flush progress; the error is the cancellation
+			if !mono {
+				_ = save() // flush progress; the error is the cancellation
+			}
 			return RootSummary{}, stats, ctx.Err()
 		}
 		done[i] = r
 		if beat != nil {
 			beat()
 		}
-		unsaved++
-		if unsaved >= every {
+		if unsaved++; unsaved >= every {
 			if err := save(); err != nil {
 				return RootSummary{}, stats, err
 			}
-			unsaved = 0
 		}
 	}
-	if err := save(); err != nil {
-		return RootSummary{}, stats, err
+	if !mono || unsaved > 0 {
+		if err := save(); err != nil {
+			return RootSummary{}, stats, err
+		}
+	}
+	if mono {
+		return done[0], stats, nil
 	}
 
 	// Deterministic merge in DFS sub-root order — identical to the
 	// monolithic walk of the same subtree in every count and in the
 	// first ≤MaxRecordedViolations representatives.
-	total := newSummary()
-	capped := false
-	for i, it := range items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, check)
-			continue
-		}
-		r := done[i]
-		total.merge(r.toSummary(b, opts))
-		if r.Capped {
-			capped = true
-		}
-	}
+	c, _ := sub.fold(newSummary(), func(i int) (*summary, bool, bool) {
+		return done[i].summary(b, opts), done[i].Capped, true
+	}, nil)
 	out := RootSummary{
-		Complete:   total.complete,
-		Incomplete: total.incomplete,
-		Outcomes:   total.outcomes,
-		Violations: total.violations,
-		Capped:     capped,
+		Complete: c.Complete, Incomplete: c.Incomplete, Outcomes: c.Outcomes,
+		Violations: c.ViolationRuns, Capped: !c.Exhaustive,
 	}
-	for _, rep := range total.reps {
-		out.Reps = append(out.Reps, rep.Schedule)
+	for _, v := range c.Violations {
+		out.Reps = append(out.Reps, v.Schedule)
 	}
 	return out, stats, nil
 }
 
-// subFrontier splits the subtree rooted at prefix at a shallow depth,
-// mirroring frontier()'s split policy relative to the prefix. nil
-// means the subtree is not worth splitting (or enumeration was capped
-// or cancelled) and the caller should explore it monolithically.
-func subFrontier(ctx context.Context, b Builder, opts Options, prefix []Choice) []frontierItem {
-	const target = 8
-	base := len(prefix)
-	var items []frontierItem
-	for split := 1; ; split++ {
-		items = items[:0]
-		roots := 0
-		shallow := opts
-		shallow.MaxDepth = base + split
-		en := &engine{b: b, opts: shallow, root: prefix, ctx: ctx, visit: func(o Outcome) bool {
-			if o.Result.Halted && len(o.Schedule) == base+split {
-				items = append(items, frontierItem{prefix: o.Schedule})
-				roots++
-			} else {
-				oc := o
-				items = append(items, frontierItem{leaf: &oc})
-			}
-			return true
-		}}
-		en.run()
-		if en.capped || en.cancelled {
-			return nil
-		}
-		if roots == 0 && split == 1 {
-			return nil // the whole subtree is a handful of terminal runs
-		}
-		if roots >= target || roots == 0 || base+split+1 >= opts.MaxDepth || split >= 12 {
-			return items
-		}
+// exploreRoot fully explores one subtree on the calling goroutine;
+// panics propagate. A true second return value means the context was
+// cancelled mid-root and the partial record must be discarded.
+func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (RootSummary, bool) {
+	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, root: prefix, ctx: ctx, onStep: beat}
+	en.run()
+	if en.cancelled {
+		return RootSummary{}, true
 	}
+	return en.acc.record(en.capped), false
 }

@@ -125,7 +125,8 @@ type engine struct {
 	onStep func()
 
 	// runs counts delivered terminal runs (visit mode) or credited runs
-	// including memoized subtrees (census mode).
+	// including memoized subtrees (census mode), saturating at
+	// math.MaxInt.
 	runs      int
 	capped    bool
 	stopped   bool
@@ -202,7 +203,7 @@ func (en *engine) run() {
 			} else {
 				en.parentAcc().merge(pruned)
 			}
-			en.runs += pruned.complete + pruned.incomplete
+			en.runs = satAdd(en.runs, pruned.runs())
 		} else {
 			en.terminal(res)
 		}
@@ -358,7 +359,7 @@ func (en *engine) terminal(res *sim.Result) {
 		}
 		return
 	}
-	if en.parentAcc().addTerminal(o, en.check) && en.scratch != nil {
+	if en.parentAcc().addTerminal(o, en.check, en.opts.FaultModes) && en.scratch != nil {
 		// The Outcome was kept as a violation representative and its
 		// Result aliases the scratch: abandon the scratch to it and
 		// continue on a fresh one.
@@ -473,7 +474,7 @@ func (en *engine) creditChild(f *frame, c Choice) bool {
 		} else {
 			f.acc.merge(s)
 		}
-		en.runs += s.complete + s.incomplete
+		en.runs = satAdd(en.runs, s.runs())
 		en.table.sleepSkips.Add(1)
 		return true
 	}

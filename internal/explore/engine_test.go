@@ -160,38 +160,6 @@ func TestVisitMatchesVisitReplay(t *testing.T) {
 	}
 }
 
-// TestParallelVisitMatchesSequential: with workers the visit sequence,
-// run count and exhaustiveness must be exactly the sequential ones.
-func TestParallelVisitMatchesSequential(t *testing.T) {
-	for _, tc := range engineMatrix() {
-		t.Run(tc.name, func(t *testing.T) {
-			want, wantRuns, wantEx := collect(t, explore.Visit, tc.b, tc.opts)
-			par := tc.opts
-			par.Workers = 4
-			got, gotRuns, gotEx := collect(t, explore.Visit, tc.b, par)
-			if gotRuns != wantRuns || gotEx != wantEx {
-				t.Fatalf("parallel runs=%d exhaustive=%v, sequential runs=%d exhaustive=%v",
-					gotRuns, gotEx, wantRuns, wantEx)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallel visit order diverges from sequential (%d vs %d outcomes)", len(got), len(want))
-			}
-		})
-	}
-}
-
-// TestParallelVisitEarlyStop: a visit callback that stops the walk must
-// behave identically under workers.
-func TestParallelVisitEarlyStop(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		runs, exhaustive := explore.Visit(oneShot(3, 2), explore.Options{Workers: workers},
-			func(o explore.Outcome) bool { return false })
-		if runs != 1 || exhaustive {
-			t.Errorf("workers=%d: runs=%d exhaustive=%v, want 1,false", workers, runs, exhaustive)
-		}
-	}
-}
-
 // TestPrunedCensusMatchesUnpruned: transposition pruning (sequential
 // and parallel) must reproduce the unpruned census exactly — run
 // counts, outcome histogram, violation count, exhaustiveness.
@@ -241,7 +209,7 @@ func censusOutcomesEqual(a, b map[string]int) bool {
 }
 
 // TestParallelCensusMatchesSequential: workers without pruning also
-// reproduce the census exactly (streamed through the sequencer).
+// reproduce the census exactly (on the work-stealing pool).
 func TestParallelCensusMatchesSequential(t *testing.T) {
 	for _, tc := range engineMatrix() {
 		t.Run(tc.name, func(t *testing.T) {

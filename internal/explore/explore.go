@@ -11,16 +11,17 @@
 // bivalent schedules. The election and hierarchy experiments are built
 // on this census.
 //
-// Exploration is replay-based — a system is rebuilt from scratch by its
-// Builder for every run, so no state cloning is ever needed — but
-// path-structured: one execution descends all the way to a terminal
-// run, discovering the ready set at each decision point on the way
-// down (engine.go), instead of one execution per tree node (the
-// original walker, kept as VisitReplay; DESIGN.md §5.2 ablates the
-// difference). Censuses can additionally prune reconverging schedule
+// Exploration is path-structured: one execution descends all the way
+// to a terminal run, discovering the ready set at each decision point
+// on the way down (engine.go), instead of one execution per tree node
+// (the original walker, kept as VisitReplay; DESIGN.md §5.2 ablates the
+// difference). Machine-backed systems are built once and backtracked in
+// place from snapshots; other systems are rebuilt by their Builder for
+// every probe. Censuses can additionally prune reconverging schedule
 // prefixes through a state-fingerprint transposition table (prune.go,
-// Options.Prune) and fan subtrees out to parallel workers with a
-// deterministic merge (parallel.go, Options.Workers).
+// Options.Prune), and with Options.Workers they split the tree into
+// frontier roots explored on one work-stealing pool (steal.go) and
+// folded back together in root order (dist.go).
 package explore
 
 import (
@@ -92,10 +93,11 @@ type Options struct {
 	MaxRuns int
 	// MaxStepsPerProc is forwarded to sim.Config.
 	MaxStepsPerProc int
-	// Workers fans the walk out to parallel workers over subtree roots,
-	// with results merged deterministically: visit order, run counts and
+	// Workers fans a census (Run, RunCheckpointed) out to parallel
+	// workers over frontier subtree roots on the work-stealing pool;
 	// census totals are identical to the sequential walk. 0 or 1 means
-	// sequential; negative means GOMAXPROCS.
+	// sequential; negative means GOMAXPROCS. Visit always walks
+	// sequentially.
 	Workers int
 	// Prune enables transposition-table pruning in Run censuses: a
 	// subtree whose root state (fingerprint + remaining budgets) was
@@ -153,16 +155,16 @@ type Options struct {
 	// does not shape the tree).
 	ForceGoroutines bool
 	// Context, when non-nil, cancels the walk cooperatively: engines
-	// check it once per terminal probe (and the supervisor between root
+	// check it once per terminal probe (and the pool between item
 	// claims), so a cancelled run stops within one probe per worker and
 	// reports Census.Cancelled with every already-counted run intact.
 	// Excluded from checkpoint keys — it does not shape the tree.
 	Context context.Context
-	// Supervision configures the parallel supervisor: retry policy for
-	// panicked subtree roots, the stall watchdog, and chaos injection.
-	// Nil means the defaults (see Supervise); it never changes which
-	// runs a successful walk counts. Sequential walks ignore it (a
-	// sequential panic propagates as before).
+	// Supervision configures the pool's supervisor: retry policy for
+	// panicked items, the stall watchdog, chaos injection and event
+	// telemetry. Nil means the defaults (see Supervise); it never
+	// changes which runs a successful walk counts. Sequential walks
+	// ignore it (a sequential panic propagates).
 	Supervision *Supervise
 
 	// canon is the validated Canonicalizer resolved from the builder's
@@ -302,44 +304,18 @@ type Outcome struct {
 // Visit walks every terminal run reachable under opts in depth-first
 // order, calling visit for each; visit returning false stops the walk.
 // It returns the number of terminal runs visited and whether the walk
-// was exhaustive (false if stopped early or MaxRuns was hit).
-// With Options.Workers set, subtrees are explored in parallel and
-// outcomes are re-sequenced, preserving the exact sequential order.
+// was exhaustive (false if stopped early or MaxRuns was hit). Visit is
+// always sequential (Options.Workers applies to censuses only): its
+// callers rely on the DFS delivery order.
 func Visit(b Builder, opts Options, visit func(Outcome) bool) (runs int, exhaustive bool) {
-	runs, exhaustive, _, _ = visitAll(b, opts, visit)
+	runs, exhaustive, _ = sequentialVisit(b, opts.withDefaults(), visit)
 	return runs, exhaustive
-}
-
-// visitAll is Visit that additionally reports subtree roots permanently
-// lost to worker failures (parallel mode only: the supervisor retries a
-// panicked root before giving up; sequentially a panic propagates) and
-// whether the walk was cut short by Options.Context. Either implies
-// exhaustive == false.
-func visitAll(b Builder, opts Options, visit func(Outcome) bool) (runs int, exhaustive bool, failed []RootFailure, cancelled bool) {
-	opts = opts.withDefaults()
-	if opts.workerCount() > 1 {
-		return parallelVisit(b, opts, visit)
-	}
-	runs, exhaustive, cancelled = sequentialVisit(b, opts, visit)
-	return runs, exhaustive, nil, cancelled
 }
 
 func sequentialVisit(b Builder, opts Options, visit func(Outcome) bool) (int, bool, bool) {
 	en := &engine{b: b, opts: opts, visit: visit, ctx: opts.Context}
 	en.run()
 	return en.runs, !en.capped && !en.stopped && !en.cancelled, en.cancelled
-}
-
-// ParallelVisit is Visit forced onto parallel workers (GOMAXPROCS of
-// them unless Options.Workers says otherwise). Exposed for callers
-// that want parallelism regardless of the options they were handed.
-func ParallelVisit(b Builder, opts Options, visit func(Outcome) bool) (runs int, exhaustive bool) {
-	opts = opts.withDefaults()
-	if opts.Workers == 0 || opts.Workers == 1 {
-		opts.Workers = -1
-	}
-	runs, exhaustive, _, _ = parallelVisit(b, opts, visit)
-	return runs, exhaustive
 }
 
 // VisitReplay is the original exploration engine: one full replay per
@@ -519,17 +495,20 @@ type Census struct {
 	// ViolationRuns counts ALL complete runs that failed it.
 	Violations    []Outcome
 	ViolationRuns int
-	// Exhaustive is false if the walk was truncated by MaxRuns.
+	// Exhaustive is false if the walk was truncated by MaxRuns or a
+	// count saturated at math.MaxInt.
 	Exhaustive bool
-	// Errors lists subtrees permanently lost to worker failures after
-	// the supervisor's retry budget (parallel walks only; a sequential
-	// walk lets the panic propagate). A non-empty Errors forces
-	// Exhaustive to false: every run counted is real, but coverage is
-	// partial. FailedRoots carries the same failures structured.
+	// Errors lists frontier roots permanently lost to worker failures
+	// after the supervisor's retry budget (pooled censuses only; a
+	// sequential walk lets the panic propagate). A non-empty Errors
+	// forces Exhaustive to false: every run counted is real, but
+	// coverage is partial. FailedRoots carries the same failures
+	// structured.
 	Errors      []string
 	FailedRoots []RootFailure
 	// Cancelled is true when the walk was cut short by Options.Context.
-	// Counts remain real but partial; Exhaustive is false.
+	// Counts remain real but partial — a pooled census includes what
+	// the live attempts had walked — and Exhaustive is false.
 	Cancelled bool
 	// Prune reports transposition-table and work-stealing activity of a
 	// pruned census (nil when Options.Prune was off).
@@ -543,33 +522,29 @@ const MaxRecordedViolations = 5
 // check, if non-nil, is evaluated on complete runs; a non-nil error
 // records the outcome as a violation. With Options.Prune the walk
 // skips subtrees whose root state was already censused, crediting
-// their stored summaries — counts stay exact.
+// their stored summaries — counts stay exact. With Options.Workers > 1
+// the frontier roots run on the work-stealing pool (steal.go), where
+// MaxRuns caps each pool item rather than the whole census.
 func Run(b Builder, opts Options, check func(*sim.Result) error) *Census {
 	opts = opts.withDefaults()
+	var table *pruneTable
 	if opts.Prune {
-		return pruneCensus(b, opts, check)
+		opts = resolveSymmetry(b, opts)
+		table = newPruneTable(opts.PruneTableEntries)
 	}
-	c := &Census{Outcomes: make(map[string]int)}
-	_, exhaustive, failed, cancelled := visitAll(b, opts, func(o Outcome) bool {
-		if o.Result.Halted {
-			c.Incomplete++
-			return true
+	if opts.workerCount() > 1 {
+		if p, ok := newPlan(b, opts, check); ok {
+			c, _ := poolCensus(opts.ctx(), p, table, nil, nil)
+			return c
 		}
-		c.Complete++
-		c.Outcomes[DecisionFingerprint(o.Result)]++
-		if check != nil {
-			if err := check(o.Result); err != nil {
-				c.ViolationRuns++
-				if len(c.Violations) < MaxRecordedViolations {
-					c.Violations = append(c.Violations, o)
-				}
-			}
-		}
-		return true
-	})
-	c.Exhaustive = exhaustive && len(failed) == 0 && !cancelled
-	c.FailedRoots = failed
-	c.Errors = failureStrings(failed)
-	c.Cancelled = cancelled
+	}
+	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}
+	en.run()
+	c := censusFrom(en.acc, !en.capped && !en.cancelled)
+	c.Cancelled = en.cancelled
+	if table != nil {
+		c.Prune = table.statsSnapshot()
+		opts.markReducers(c.Prune)
+	}
 	return c
 }

@@ -173,18 +173,6 @@ func (r *orbitReplay) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	return sim.Halt
 }
 
-// orbitRenamer is the outcome-key translation for crediting a twin
-// from a summary stored in CANONICAL coordinates (a published table
-// entry): rename out of canonical through the inverse of the twin's
-// orientation — exactly what engine.run applies on a table hit. nil
-// (identity) when the orientation is the identity permutation.
-func orbitRenamer(canon *sim.Canonicalizer, twinPerm int) func(string) string {
-	if canon == nil || twinPerm == 0 {
-		return nil
-	}
-	return canon.OutcomeRenamerInv(twinPerm)
-}
-
 // orbitRenamerRaw is the translation for crediting a twin from a
 // summary in the REPRESENTATIVE'S OWN coordinates (a distributed
 // RootSummary, never canonicalized): rename into canonical through

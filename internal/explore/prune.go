@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -48,16 +49,58 @@ type tableKey struct {
 // map is allocated lazily on the first complete run: most frames in a
 // deep walk pop before seeing one, and engines recycle unpublished
 // summaries through a freelist, so the map is both rare and reused.
+// Every addition saturates at math.MaxInt (satAdd): credited subtree
+// totals multiply along a pruned walk and can outgrow int64, and a
+// saturated census reports itself capped (censusFrom) instead of
+// wrapping into nonsense.
 type summary struct {
 	complete   int
 	incomplete int
 	outcomes   map[string]int // complete runs by decision fingerprint
 	violations int            // complete runs failing the check
-	reps       []Outcome      // ≤ MaxRecordedViolations representatives
+	reps       []*rep         // ≤ MaxRecordedViolations, first in DFS order
+}
+
+// rep is one recorded violation representative with its dfsKey. The
+// key makes representative merging order-free: whatever order subtree
+// summaries are merged in — frame pops, table hits, work-stealing items
+// resolving in any order, checkpointed roots — a summary keeps the
+// violating runs that come first in the walk's DFS order, so a parallel
+// census records exactly the sequential walk's representatives. Merges
+// share reps by pointer; a rep is immutable once recorded.
+type rep struct {
+	Outcome
+	key string
 }
 
 func newSummary() *summary {
 	return &summary{}
+}
+
+// satAdd adds two non-negative counts, saturating at math.MaxInt
+// instead of wrapping.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+// runs is the summary's terminal-run total, saturating.
+func (s *summary) runs() int { return satAdd(s.complete, s.incomplete) }
+
+// saturated reports whether some count hit math.MaxInt: the census is
+// then a lower bound, not an exact count.
+func (s *summary) saturated() bool {
+	if s.complete == math.MaxInt || s.incomplete == math.MaxInt || s.violations == math.MaxInt {
+		return true
+	}
+	for _, v := range s.outcomes {
+		if v == math.MaxInt {
+			return true
+		}
+	}
+	return false
 }
 
 // reset clears the summary for reuse, retaining the outcomes map's
@@ -66,113 +109,109 @@ func newSummary() *summary {
 func (s *summary) reset() {
 	s.complete, s.incomplete, s.violations = 0, 0, 0
 	clear(s.outcomes)
-	for i := range s.reps {
-		s.reps[i] = Outcome{}
-	}
+	clear(s.reps)
 	s.reps = s.reps[:0]
 }
 
-// addTerminal classifies one terminal run into the summary. retained
-// reports that the Outcome (and its Result) was stored as a violation
-// representative and must stay valid — the caller's cue to stop
-// recycling any scratch buffers the Result aliases.
-func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error) (retained bool) {
+// addTerminal classifies one terminal run into the summary; modes is
+// the walk's fault-mode enumeration order (Options.FaultModes), which
+// fixes the DFS order of fault choices. retained reports that the
+// Outcome (and its Result) was stored as a violation representative and
+// must stay valid — the caller's cue to stop recycling any scratch
+// buffers the Result aliases.
+func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error, modes []sim.FaultMode) (retained bool) {
 	if o.Result.Halted {
-		s.incomplete++
+		s.incomplete = satAdd(s.incomplete, 1)
 		return false
 	}
-	s.complete++
+	s.complete = satAdd(s.complete, 1)
 	if s.outcomes == nil {
 		s.outcomes = make(map[string]int)
 	}
-	s.outcomes[DecisionFingerprint(o.Result)]++
+	fp := DecisionFingerprint(o.Result)
+	s.outcomes[fp] = satAdd(s.outcomes[fp], 1)
 	if check != nil {
 		if err := check(o.Result); err != nil {
-			s.violations++
-			if len(s.reps) < MaxRecordedViolations {
-				s.reps = append(s.reps, o)
-				return true
-			}
+			s.violations = satAdd(s.violations, 1)
+			return s.addRep(&rep{Outcome: o, key: dfsKey(o.Schedule, modes)})
 		}
 	}
 	return false
 }
 
+// addRep inserts r in key order unless its schedule is already
+// recorded, keeping the first MaxRecordedViolations. It reports whether
+// r was stored.
+func (s *summary) addRep(r *rep) bool {
+	i := len(s.reps)
+	for i > 0 && r.key < s.reps[i-1].key { // walks arrive in DFS order: usually i stays put
+		i--
+	}
+	if i >= MaxRecordedViolations || (i > 0 && s.reps[i-1].key == r.key) {
+		return false
+	}
+	if len(s.reps) < MaxRecordedViolations {
+		s.reps = append(s.reps, nil)
+	}
+	copy(s.reps[i+1:], s.reps[i:]) // drops the last rep when full
+	s.reps[i] = r
+	return true
+}
+
+// dfsKey encodes a schedule so that byte order is the walk's DFS child
+// order (engine.childChoice): per choice its child class — plain pick,
+// crash, then one class per fault mode in modes order — followed by
+// the process ID. Ready sets are sorted, so within a class the process
+// ID is the child order.
+func dfsKey(sched []Choice, modes []sim.FaultMode) string {
+	b := make([]byte, 0, 3*len(sched))
+	for _, c := range sched {
+		class := 0
+		switch {
+		case c.Crash:
+			class = 1
+		case c.Fault != sim.FaultNone:
+			class = 2 + len(modes)
+			for i, m := range modes {
+				if m == c.Fault {
+					class = 2 + i
+					break
+				}
+			}
+		}
+		b = append(b, byte(class), byte(c.Pick>>8), byte(c.Pick))
+	}
+	return string(b)
+}
+
 // merge folds t into s. t is never mutated: published table entries are
 // shared and must stay immutable.
-func (s *summary) merge(t *summary) {
-	s.complete += t.complete
-	s.incomplete += t.incomplete
-	if len(t.outcomes) > 0 && s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	for k, v := range t.outcomes {
-		s.outcomes[k] += v
-	}
-	s.violations += t.violations
-	for _, r := range t.reps {
-		if len(s.reps) >= MaxRecordedViolations {
-			break
-		}
-		// A shared subtree's entry is credited once per hit point, so
-		// its stored representative would repeat; keep distinct ones.
-		if !s.hasRep(r) {
-			s.reps = append(s.reps, r)
-		}
-	}
-}
+func (s *summary) merge(t *summary) { s.mergeRenamed(t, nil) }
 
 // mergeRenamed is merge with every outcome key mapped through rename —
 // the translation step of symmetry-canonical table storage. A summary
 // stored at canonical orientation π holds outcome keys renamed under π;
 // publishing merges under π, consuming a hit merges under π⁻¹ (see
 // engine.popFrame and engine.run). Counts transfer untouched; violation
-// representatives keep their first-encounter schedules unrenamed,
-// exactly like plain merge (the replayability contract is per-schedule,
-// not per-hit-point). A nil rename degrades to plain merge.
+// representatives keep their first-encounter schedules unrenamed (the
+// replayability contract is per-schedule, not per-hit-point). A nil
+// rename is plain merge.
 func (s *summary) mergeRenamed(t *summary, rename func(string) string) {
-	if rename == nil {
-		s.merge(t)
-		return
-	}
-	s.complete += t.complete
-	s.incomplete += t.incomplete
+	s.complete = satAdd(s.complete, t.complete)
+	s.incomplete = satAdd(s.incomplete, t.incomplete)
 	if len(t.outcomes) > 0 && s.outcomes == nil {
 		s.outcomes = make(map[string]int)
 	}
 	for k, v := range t.outcomes {
-		s.outcomes[rename(k)] += v
+		if rename != nil {
+			k = rename(k)
+		}
+		s.outcomes[k] = satAdd(s.outcomes[k], v)
 	}
-	s.violations += t.violations
+	s.violations = satAdd(s.violations, t.violations)
 	for _, r := range t.reps {
-		if len(s.reps) >= MaxRecordedViolations {
-			break
-		}
-		if !s.hasRep(r) {
-			s.reps = append(s.reps, r)
-		}
+		s.addRep(r)
 	}
-}
-
-func (s *summary) hasRep(o Outcome) bool {
-	for _, r := range s.reps {
-		if schedulesEqual(r.Schedule, o.Schedule) {
-			return true
-		}
-	}
-	return false
-}
-
-func schedulesEqual(a, b []Choice) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // maxTableEntries caps the transposition table's memory when
@@ -369,18 +408,24 @@ func (o Options) markReducers(st *PruneStats) {
 	st.SymmetryNote = o.symNote
 }
 
+// censusFrom turns a root accumulator into a Census. A saturated count
+// makes the census capped: exhaustive is forced false.
 func censusFrom(acc *summary, exhaustive bool) *Census {
 	out := acc.outcomes
 	if out == nil {
 		out = make(map[string]int)
 	}
+	var violations []Outcome
+	for _, r := range acc.reps {
+		violations = append(violations, r.Outcome)
+	}
 	return &Census{
 		Complete:      acc.complete,
 		Incomplete:    acc.incomplete,
 		Outcomes:      out,
-		Violations:    acc.reps,
+		Violations:    violations,
 		ViolationRuns: acc.violations,
-		Exhaustive:    exhaustive,
+		Exhaustive:    exhaustive && !acc.saturated(),
 	}
 }
 
@@ -423,34 +468,4 @@ func resolveSymmetry(b Builder, opts Options) Options {
 	opts.Symmetry = true
 	opts.canon = canon
 	return opts
-}
-
-// pruneCensus is Run with transposition pruning, sequential or
-// parallel. The parallel walk shares one striped table across all
-// workers and balances load by work stealing (see steal.go): workers
-// start on frontier roots and, when the queue runs dry, busy workers
-// donate untried sibling subtrees mid-walk instead of letting the pool
-// idle. Retry with backoff, the stall watchdog and chaos injection
-// carry over from the supervisor unchanged.
-func pruneCensus(b Builder, opts Options, check func(*sim.Result) error) *Census {
-	opts = resolveSymmetry(b, opts)
-	table := newPruneTable(opts.PruneTableEntries)
-	workers := opts.workerCount()
-	sequential := func() *Census {
-		en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}
-		en.run()
-		c := censusFrom(en.acc, !en.capped && !en.cancelled)
-		c.Cancelled = en.cancelled
-		c.Prune = table.statsSnapshot()
-		opts.markReducers(c.Prune)
-		return c
-	}
-	if workers <= 1 {
-		return sequential()
-	}
-	items, ok := frontier(b, opts, workers)
-	if !ok {
-		return sequential()
-	}
-	return stealCensus(b, opts, check, table, items, workers)
 }

@@ -1,34 +1,46 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"context"
-
 	"repro/internal/sim"
 )
 
-// Work-stealing parallel pruned census. The frontier split hands each
-// worker pool a starting queue of subtree roots, but fixed roots load-
-// balance badly: pruning makes subtree costs wildly uneven (a root
-// whose state was already tabled is nearly free), so some workers
-// drain their share early and idle. Here an idle pool instead makes
-// busy workers DONATE: when the shared queue runs dry and a worker
-// goes hungry, each busy engine, at its next backtrack, splits off
-// every untried child of its shallowest open frame as new queue items
-// and keeps walking its current branch.
+// The work-stealing pool: the one scheduler of frontier roots. Every
+// multi-worker census (Run with Workers > 1, with or without the
+// transposition table) and every RunCheckpointed run explores its roots
+// here. The frontier split hands the pool a starting queue of subtree
+// roots, but fixed roots load-balance badly: pruning makes subtree
+// costs wildly uneven (a root whose state was already tabled is nearly
+// free), so some workers drain their share early and idle. Here an idle
+// pool instead makes busy workers DONATE: when the shared queue runs dry
+// and a worker goes hungry, each busy engine, at its next backtrack,
+// splits off every untried child of its shallowest open frame as new
+// queue items and keeps walking its current branch.
+//
+// Root settlement: every item records the frontier root it descends
+// from (rootOf). A root settles when its last item resolves — its own
+// item and everything donated from it, transitively. Settling is what
+// observers see: one EventResolved (EventFailed for a lost root), one
+// onSettle call (RunCheckpointed's checkpoint record), and one summary
+// for the root-order merge (DistPlan.fold). A root with an item lost
+// after the attempt budget fails whole, as in the distributed census.
+// When the context cancels the pool, each live attempt's partial walk
+// is still counted into its root, so a cancelled census keeps all it
+// walked — but an unsettled root is never recorded.
 //
 // Exactly-once accounting under donation, retry and stall-requeue:
 //
 //   - Every queue item is resolved exactly once (first completing
 //     CURRENT-generation attempt wins; the generation counter bumps on
 //     every claim, and a stale straggler's result is discarded even if
-//     complete — unlike plain supervised roots, a stale attempt is NOT
-//     interchangeable with the live one, because the live one may have
-//     donated children the straggler would count itself).
+//     complete — a stale attempt is NOT interchangeable with the live
+//     one, because the live one may have donated children the straggler
+//     would count itself).
 //   - A donation is logged in the item's skip set (keyed by the
 //     donated child's schedule prefix) before the child is enqueued.
 //     Later attempts of the donor item consult the log and excise
@@ -45,15 +57,19 @@ import (
 //     engine.backtrack re-poisons the open frames when it excises a
 //     child.
 //
-// Census counts are bit-identical to the sequential pruned walk
-// because summaries are merged by integer addition (order-free) and
-// the table only ever serves fully-explored, immutable summaries; see
-// DESIGN.md "Concurrent table publication".
+// Census counts are bit-identical to the sequential walk because
+// summaries are merged by integer addition (order-free), violation
+// representatives are kept in DFS order whatever the merge order (see
+// rep), and the table only ever serves fully-explored, immutable
+// summaries; see DESIGN.md "Concurrent table publication".
 type stealItem struct {
 	pool   *stealPool
 	idx    int // creation sequence; only feeds backoff jitter
 	prefix []Choice
 	donor  int // worker that donated it; -1 for frontier roots
+	// root is the frontier root item this one was donated from; nil on
+	// a frontier root itself, which keeps the root bookkeeping below.
+	root *stealItem
 
 	// Guarded by pool.mu.
 	attempts int             // claims so far (budgeted by cfg.maxAttempts)
@@ -62,6 +78,31 @@ type stealItem struct {
 	queued   bool            // currently sitting in pool.queue
 	skip     map[string]bool // donation log: child prefixes excised from this item
 	skipSeqs [][]Choice      // the same donated prefixes as schedules, for shadows
+
+	// Root bookkeeping, kept on frontier root items (guarded by pool.mu).
+	frontier int      // index in the frontier
+	pending  int      // unresolved items of the root: itself and all donations
+	acc      *summary // runs counted under the root so far
+	capped   bool     // some item of the root hit MaxRuns
+}
+
+// rootOf is the frontier root item that it belongs to.
+func (it *stealItem) rootOf() *stealItem {
+	if it.root != nil {
+		return it.root
+	}
+	return it
+}
+
+// count merges one attempt's walk into the root, which takes ownership
+// of s. Callers hold pool.mu.
+func (r *stealItem) count(s *summary, capped bool) {
+	if r.acc == nil {
+		r.acc = s
+	} else {
+		r.acc.merge(s)
+	}
+	r.capped = r.capped || capped
 }
 
 // skips reports whether the child prefix key was donated away by an
@@ -156,17 +197,20 @@ type stealPool struct {
 	opts  Options
 	check func(*sim.Result) error
 	table *pruneTable
+	// onSettle, when non-nil, observes each root that settles whole,
+	// from the worker goroutine that settled it (p.mu not held).
+	onSettle func(root int, s *summary, capped bool)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       []*stealItem
-	outstanding int // unresolved items (queued, claimed or donated)
-	waiting     int // workers parked on an empty queue
+	roots       []*stealItem // frontier root items by frontier index (nil: not enqueued)
+	outstanding int          // unresolved items (queued, claimed or donated)
+	waiting     int          // workers parked on an empty queue
 	itemSeq     int
-	shutdown    bool // ctx cancelled: workers drain out
-	total       *summary
-	capped      bool
-	failed      []RootFailure
+	shutdown    bool                // ctx cancelled: workers drain out
+	total       *summary            // the census the roots fold into
+	failed      map[int]RootFailure // roots lost after the attempt budget, by frontier index
 	claims      map[*stealClaim]struct{}
 	nextWorker  int
 
@@ -182,36 +226,35 @@ type stealPool struct {
 	finOnce  sync.Once
 }
 
-// stealCensus runs the shared-table pruned census over the frontier
-// items on a work-stealing pool and assembles the Census. With
-// symmetry resolved, the frontier is orbit-partitioned first: only one
-// representative per symmetry orbit is enqueued, and its twins are
-// credited from the table after the pool drains (orbit.go).
-func stealCensus(b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, items []frontierItem, workers int) *Census {
+// poolCensus explores the roots of pl on the work-stealing pool,
+// sharing table (nil: unpruned), and folds them in root order into the
+// census. Roots in resumed were settled by an earlier run and are
+// credited, not explored; orbit twins are never enqueued — the fold
+// credits them from their representative. onSettle observes each root
+// that settles here. The supervision config is returned for its
+// counters.
+func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
+	onSettle func(root int, s *summary, capped bool)) (*Census, *supCfg) {
+	opts := pl.opts
 	cfg := opts.supervise()
 	p := &stealPool{
-		ctx: opts.ctx(), cfg: cfg, b: cfg.wrapChaos(b), opts: opts,
-		check: check, table: table, total: newSummary(),
-		claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
+		ctx: ctx, cfg: cfg, b: cfg.wrapChaos(pl.b), opts: opts, check: pl.check, table: table,
+		onSettle: onSettle, roots: make([]*stealItem, len(pl.items)), total: newSummary(),
+		failed: make(map[int]RootFailure), claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	var orbit *orbitInfo
-	if opts.canon != nil {
-		orbit = orbitPartition(b, opts, items)
-	}
-	for i, it := range items {
-		if it.prefix == nil {
-			p.total.addTerminal(*it.leaf, check)
+	for _, i := range pl.Roots() {
+		if _, ok := resumed[i]; ok {
 			continue
 		}
-		if orbit != nil && orbit.rep[i] != i {
-			continue // symmetric twin: credited from its representative after the drain
-		}
-		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, prefix: it.prefix, donor: -1, queued: true})
+		it := &stealItem{pool: p, idx: p.itemSeq, prefix: pl.items[i].prefix, donor: -1, queued: true, frontier: i, pending: 1}
+		p.queue = append(p.queue, it)
+		p.roots[i] = it
 		p.itemSeq++
 	}
 	p.outstanding = len(p.queue)
 	if p.outstanding > 0 {
+		workers := opts.workerCount()
 		p.nextWorker = workers
 		for w := 0; w < workers; w++ {
 			p.wg.Add(1)
@@ -236,103 +279,27 @@ func stealCensus(b Builder, opts Options, check func(*sim.Result) error, table *
 		p.finish()
 	}
 
-	p.mu.Lock()
-	cancelled := p.outstanding > 0
-	p.mu.Unlock()
-
-	var orbitSkips uint64
-	if orbit != nil && !cancelled {
-		orbitSkips, cancelled = p.creditTwins(items, orbit)
+	// Every worker and the watchdog have exited: the root bookkeeping is
+	// final and read without p.mu (the fold calls back into the builder
+	// and the check).
+	c, orbitSkips := pl.fold(p.total, func(i int) (*summary, bool, bool) {
+		if r, ok := resumed[i]; ok {
+			return r.summary(pl.b, opts), r.Capped, true
+		}
+		if r := p.roots[i]; r != nil && r.acc != nil {
+			return r.acc, r.capped, r.pending == 0
+		}
+		return nil, false, false
+	}, p.failed)
+	if table != nil {
+		st := table.statsSnapshot()
+		st.Donations = p.donations.Load()
+		st.Steals = p.steals.Load()
+		st.OrbitSkips = orbitSkips
+		opts.markReducers(st)
+		c.Prune = st
 	}
-
-	p.mu.Lock()
-	failed := p.failed
-	capped := p.capped
-	p.mu.Unlock()
-	exhaustive := !cancelled && !capped && len(failed) == 0
-	c := censusFrom(p.total, exhaustive)
-	c.FailedRoots = failed
-	c.Errors = failureStrings(failed)
-	c.Cancelled = cancelled
-	st := table.statsSnapshot()
-	st.Donations = p.donations.Load()
-	st.Steals = p.steals.Load()
-	st.OrbitSkips = orbitSkips
-	opts.markReducers(st)
-	c.Prune = st
-	return c
-}
-
-// creditTwins settles the orbit twins after the pool has drained. The
-// normal path is a table lookup: the representative's fully explored
-// root subtree was published under the shared canonical key, and the
-// twin merges it renamed into its own orientation — the identical
-// translation a table hit at the twin's root node performs, so counts
-// are bit-identical to enqueuing the twin. When the entry is missing
-// (the rep's root frame was poisoned by a donation, evicted, or its
-// item failed) the twin falls back to a direct exploration with the
-// supervisor's retry budget — partitioning degrades, counts never do.
-// It returns how many twins were credited without exploration and
-// whether the context cancelled the settling mid-way.
-func (p *stealPool) creditTwins(items []frontierItem, orbit *orbitInfo) (skips uint64, cancelled bool) {
-	for i, it := range items {
-		if it.prefix == nil || orbit.rep[i] == i {
-			continue
-		}
-		if p.ctx.Err() != nil {
-			return skips, true
-		}
-		if s, hit := p.table.get(orbit.key[i]); hit {
-			p.total.mergeRenamed(s, orbitRenamer(p.opts.canon, orbit.perm[i]))
-			if orbit.perm[i] != 0 {
-				p.table.symHits.Add(1)
-			}
-			if s.complete+s.incomplete >= p.opts.MaxRuns {
-				p.capped = true
-			}
-			skips++
-			continue
-		}
-		if p.exploreTwin(i, it.prefix) {
-			return skips, true
-		}
-	}
-	return skips, false
-}
-
-// exploreTwin is creditTwins' fallback: walk the twin's subtree on the
-// calling goroutine, sharing the transposition table, with the
-// supervisor's retry-with-backoff policy. Reports whether the context
-// cancelled the attempt.
-func (p *stealPool) exploreTwin(idx int, prefix []Choice) (cancelled bool) {
-	var msg string
-	for att := 1; att <= p.cfg.maxAttempts; att++ {
-		p.cfg.stats.Attempts.Add(1)
-		if att > 1 {
-			p.cfg.stats.Retries.Add(1)
-			if !sleepCtx(p.ctx, p.cfg.backoff(idx, att)) {
-				return true
-			}
-		}
-		en := &engine{
-			b: p.b, opts: p.opts, acc: newSummary(), check: p.check,
-			table: p.table, root: prefix, ctx: p.ctx,
-		}
-		msg = runRecovering(en)
-		if msg == "" {
-			if en.cancelled {
-				return true
-			}
-			p.total.merge(en.acc)
-			if en.capped {
-				p.capped = true
-			}
-			return false
-		}
-	}
-	p.cfg.stats.Failed.Add(1)
-	p.failed = append(p.failed, RootFailure{Prefix: prefix, Attempts: p.cfg.maxAttempts, Err: msg})
-	return false
+	return c, cfg
 }
 
 func (p *stealPool) finish() { p.finOnce.Do(func() { close(p.finished) }) }
@@ -353,12 +320,13 @@ func (p *stealPool) updateHungry() {
 
 // next claims the next live item, blocking while the queue is empty
 // but work is still outstanding (donations may refill it). nil means
-// drained or cancelled.
+// drained or cancelled: once the context is done nothing is claimed, so
+// every cancelled attempt is its item's last.
 func (p *stealPool) next(workerID int) *stealItem {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.shutdown || p.outstanding == 0 {
+		if p.shutdown || p.outstanding == 0 || p.ctx.Err() != nil {
 			return nil
 		}
 		// LIFO: donated items are deepest and hottest in the shared table.
@@ -403,8 +371,10 @@ func (p *stealPool) attempt(workerID int, it *stealItem) {
 	gen := it.current
 	att := it.attempts
 	hasSkips := len(it.skip) > 0
+	root := it.rootOf().frontier
 	p.mu.Unlock()
 	p.cfg.stats.Attempts.Add(1)
+	p.cfg.emit(Event{Kind: EventClaim, Root: root, Attempt: att})
 
 	cctx, cancel := context.WithCancel(p.ctx)
 	defer cancel()
@@ -437,9 +407,15 @@ func (p *stealPool) attempt(workerID int, it *stealItem) {
 	case panicMsg != "":
 		p.retryOrFail(it, gen, att, panicMsg)
 	case en.cancelled:
-		// Outer cancellation (shutdown drains the pool) or a watchdog
-		// abandonment (the item was already requeued); either way this
-		// partial walk is discarded.
+		// A watchdog abandonment is discarded: the item was requeued and
+		// its next attempt counts the subtree. An outer cancellation is
+		// final — next claims nothing more — so the live attempt's
+		// partial walk is kept.
+		p.mu.Lock()
+		if p.ctx.Err() != nil && !it.done && it.current == gen {
+			it.rootOf().count(en.acc, en.capped)
+		}
+		p.mu.Unlock()
 	default:
 		p.resolve(it, gen, en)
 	}
@@ -468,17 +444,16 @@ func (p *stealPool) resolve(it *stealItem, gen int, en *engine) {
 		return
 	}
 	it.done = true
-	p.total.merge(en.acc)
-	if en.capped {
-		p.capped = true
-	}
-	p.settleLocked(it)
+	it.rootOf().count(en.acc, en.capped)
+	settled := p.settleLocked(it)
 	p.mu.Unlock()
+	p.settled(settled)
 }
 
 // settleLocked finishes bookkeeping for a resolved (merged or failed)
-// item; callers hold p.mu.
-func (p *stealPool) settleLocked(it *stealItem) {
+// item and returns its root if this was the root's last item. Callers
+// hold p.mu and hand the root to settled after unlocking.
+func (p *stealPool) settleLocked(it *stealItem) *stealItem {
 	p.outstanding--
 	for cl := range p.claims {
 		if cl.it == it {
@@ -490,6 +465,44 @@ func (p *stealPool) settleLocked(it *stealItem) {
 	if p.outstanding == 0 {
 		p.finish()
 	}
+	r := it.rootOf()
+	if r.pending--; r.pending != 0 {
+		return nil
+	}
+	return r
+}
+
+// settled reports a root whose items have all resolved: one event, and
+// the onSettle record of a whole root. Called without p.mu; a settled
+// root is never written again.
+func (p *stealPool) settled(r *stealItem) {
+	if r == nil {
+		return
+	}
+	p.mu.Lock()
+	f, lost := p.failed[r.frontier]
+	p.mu.Unlock()
+	if lost {
+		p.cfg.emit(Event{Kind: EventFailed, Root: r.frontier, Attempt: f.Attempts, Err: f.Err})
+		return
+	}
+	p.cfg.emit(Event{Kind: EventResolved, Root: r.frontier})
+	if p.onSettle != nil {
+		p.onSettle(r.frontier, r.acc, r.capped)
+	}
+}
+
+// failLocked settles an item lost after its attempt budget. Its root
+// fails whole, reported once under the root's own prefix: the coverage
+// deficit is exactly that subtree. Callers hold p.mu.
+func (p *stealPool) failLocked(it *stealItem, msg string) *stealItem {
+	p.cfg.stats.Failed.Add(1)
+	it.done = true
+	r := it.rootOf()
+	if _, lost := p.failed[r.frontier]; !lost {
+		p.failed[r.frontier] = RootFailure{Prefix: r.prefix, Attempts: it.attempts, Err: msg}
+	}
+	return p.settleLocked(it)
 }
 
 // retryOrFail handles a panicked attempt of generation gen: requeue
@@ -507,15 +520,15 @@ func (p *stealPool) retryOrFail(it *stealItem, gen, att int, msg string) {
 		return
 	}
 	if it.attempts >= p.cfg.maxAttempts {
-		p.cfg.stats.Failed.Add(1)
-		it.done = true
-		p.failed = append(p.failed, RootFailure{Prefix: it.prefix, Attempts: it.attempts, Err: msg})
-		p.settleLocked(it)
+		settled := p.failLocked(it, msg)
 		p.mu.Unlock()
+		p.settled(settled)
 		return
 	}
+	root := it.rootOf().frontier
 	p.mu.Unlock()
 	p.cfg.stats.Retries.Add(1)
+	p.cfg.emit(Event{Kind: EventRetry, Root: root, Attempt: att, Err: msg})
 	if !sleepCtx(p.ctx, p.cfg.backoff(it.idx, att+1)) {
 		return
 	}
@@ -532,11 +545,11 @@ func (p *stealPool) retryOrFail(it *stealItem, gen, att int, msg string) {
 }
 
 // donateFrom splits off every untried child of frame f (at the given
-// depth of en's walk) as new queue items, logging each in the item's
-// skip set first. It reports whether the frame's remaining children
-// are now excised from this walk — false only when the attempt lost
-// currency (superseded or resolved), in which case the walk continues
-// unchanged and its result will be discarded at resolve.
+// depth of en's walk) as new queue items of the same root, logging
+// each in the item's skip set first. It reports whether the frame's
+// remaining children are now excised from this walk — false only when
+// the attempt lost currency (superseded or resolved), in which case the
+// walk continues unchanged and its result will be discarded at resolve.
 func (p *stealPool) donateFrom(en *engine, depth int, f *frame) bool {
 	it := en.item
 	p.mu.Lock()
@@ -548,6 +561,7 @@ func (p *stealPool) donateFrom(en *engine, depth int, f *frame) bool {
 	if f.next >= count {
 		return false
 	}
+	root := it.rootOf()
 	donated := 0
 	for idx := f.next; idx < count; idx++ {
 		c := en.childChoice(f, idx)
@@ -564,9 +578,10 @@ func (p *stealPool) donateFrom(en *engine, depth int, f *frame) bool {
 		}
 		it.skip[key] = true
 		it.skipSeqs = append(it.skipSeqs, prefix)
-		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, prefix: prefix, donor: en.workerID, queued: true})
+		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, prefix: prefix, donor: en.workerID, queued: true, root: root})
 		p.itemSeq++
 		p.outstanding++
+		root.pending++
 		donated++
 	}
 	en.skipcheck = true
@@ -597,6 +612,8 @@ func (p *stealPool) watchdog() {
 		case <-p.ctx.Done():
 			return
 		case now := <-t.C:
+			var requeued []Event // emitted, and roots settled, after unlock
+			var settled []*stealItem
 			p.mu.Lock()
 			for cl := range p.claims {
 				if cl.gone {
@@ -612,33 +629,30 @@ func (p *stealPool) watchdog() {
 				cl.gone = true
 				cl.cancel()
 				it := cl.it
-				if it.done {
-					continue
-				}
-				if it.attempts < p.cfg.maxAttempts {
-					if !it.queued {
-						p.cfg.stats.Requeues.Add(1)
-						it.queued = true
-						p.queue = append(p.queue, it)
-						p.updateHungry()
-						p.cond.Broadcast()
-						p.wg.Add(1)
-						id := p.nextWorker
-						p.nextWorker++
-						go p.worker(id)
-					}
-				} else {
-					p.cfg.stats.Failed.Add(1)
-					it.done = true
-					p.failed = append(p.failed, RootFailure{
-						Prefix:   it.prefix,
-						Attempts: it.attempts,
-						Err:      fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall),
-					})
-					p.settleLocked(it)
+				switch {
+				case it.done:
+				case it.attempts >= p.cfg.maxAttempts:
+					settled = append(settled, p.failLocked(it, fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall)))
+				case !it.queued:
+					p.cfg.stats.Requeues.Add(1)
+					requeued = append(requeued, Event{Kind: EventRequeue, Root: it.rootOf().frontier, Attempt: it.attempts})
+					it.queued = true
+					p.queue = append(p.queue, it)
+					p.updateHungry()
+					p.cond.Broadcast()
+					p.wg.Add(1)
+					id := p.nextWorker
+					p.nextWorker++
+					go p.worker(id)
 				}
 			}
 			p.mu.Unlock()
+			for _, e := range requeued {
+				p.cfg.emit(e)
+			}
+			for _, r := range settled {
+				p.settled(r)
+			}
 		}
 	}
 }

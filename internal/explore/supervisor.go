@@ -11,42 +11,43 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the supervision layer shared by every parallel walk
-// (streamed parallelVisit, pruned census, checkpointed census). The
-// engines stay exact enumerators; the supervisor wraps the dispatch of
-// frontier roots to workers with the machinery that keeps long censuses
-// alive: cooperative cancellation, capped retry with deterministic
-// backoff when a root's worker panics, a heartbeat-driven stall
-// watchdog that requeues roots whose workers stop advancing, and a
-// seeded chaos injector used by the tests to prove all of the above
-// preserves bit-identical censuses.
+// This file is the supervision policy of the work-stealing pool
+// (steal.go), the one scheduler behind every pooled census — plain Run
+// with workers, pruned or not, and RunCheckpointed. The engines stay
+// exact enumerators; the pool wraps the dispatch of items to workers
+// with the machinery that keeps long censuses alive: cooperative
+// cancellation, capped retry with deterministic backoff when an item's
+// worker panics, a heartbeat-driven stall watchdog that requeues items
+// whose workers stop advancing, and a seeded chaos injector used by the
+// tests to prove all of the above preserves bit-identical censuses.
 //
-// Soundness rests on one invariant: a root is either fully explored by
-// exactly one successful attempt, or reported in FailedRoots — never
-// partially merged. Attempts are idempotent (every attempt replays the
-// same prefix through a fresh system), so retrying or racing a
-// requeued duplicate against a stalled straggler cannot change counts;
-// the first completed attempt wins and any later duplicate is dropped.
+// Soundness rests on one invariant: an item is either fully explored
+// by exactly one successful current-generation attempt, or its root is
+// reported in FailedRoots — never partially merged into a settled
+// root. Attempts replay the same prefix from the same system state, so
+// retrying changes nothing a successful attempt counts; the pool's
+// generation guard (steal.go) discards stale stragglers.
 
-// Supervise configures the resilience policy of parallel exploration.
+// Supervise configures the resilience policy of pooled exploration.
 // The zero value (or a nil Options.Supervision) means: 3 attempts per
-// root, 5ms base / 500ms cap exponential backoff, no stall watchdog,
-// no chaos.
+// pool item, 5ms base / 500ms cap exponential backoff, no stall
+// watchdog, no chaos.
 type Supervise struct {
-	// MaxAttempts bounds how often one root is attempted before it is
-	// reported as permanently failed. Zero means DefaultMaxAttempts.
+	// MaxAttempts bounds how often one pool item is attempted before its
+	// root is reported as permanently failed. Zero means
+	// DefaultMaxAttempts.
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts of one root: attempt k (k >= 2) waits
+	// attempts of one item: attempt k (k >= 2) waits
 	// min(BackoffBase << (k-2), BackoffMax), jittered deterministically
-	// into [d/2, d] from (Seed, root, attempt). Zeros mean the package
+	// into [d/2, d] from (Seed, item, attempt). Zeros mean the package
 	// defaults.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Seed feeds the backoff jitter; runs with equal seeds back off
 	// identically.
 	Seed int64
-	// StallTimeout arms the watchdog: a claimed root whose worker
+	// StallTimeout arms the watchdog: a claimed item whose worker
 	// heartbeat does not advance for this long is requeued (attempts
 	// permitting) and a replacement worker keeps the pool at width.
 	// Zero disables the watchdog and all heartbeat accounting.
@@ -56,12 +57,14 @@ type Supervise struct {
 	Chaos *ChaosPlan
 	// Stats, when non-nil, receives the run's supervision counters.
 	Stats *SuperviseStats
-	// OnEvent, when non-nil, observes the supervisor's per-root
-	// lifecycle (claim, resolve, retry, requeue, failure) as it happens.
-	// It is called from worker goroutines, possibly concurrently, and
-	// must be fast and thread-safe; it must not call back into the walk.
-	// Events are advisory telemetry — they never affect counts. Only the
-	// pooled checkpoint path (RunCheckpointed) emits them today.
+	// OnEvent, when non-nil, observes the pool's lifecycle as it
+	// happens: a claim, retry or requeue per item attempt (Root names
+	// the item's frontier root), and one resolve or failure per root
+	// when it settles. Every pooled census emits them — Run with
+	// workers and RunCheckpointed alike. It is called from worker
+	// goroutines, possibly concurrently, and must be fast and
+	// thread-safe; it must not call back into the walk. Events are
+	// advisory telemetry — they never affect counts.
 	OnEvent func(Event)
 }
 
@@ -69,18 +72,21 @@ type Supervise struct {
 type EventKind uint8
 
 const (
-	// EventClaim: a worker claimed a root and began an attempt.
+	// EventClaim: a worker claimed an item of the root and began an
+	// attempt.
 	EventClaim EventKind = iota + 1
-	// EventResolved: a root completed successfully (counted exactly once
-	// per root, however many attempts raced).
+	// EventResolved: the root settled — every item of its subtree
+	// resolved (emitted exactly once per root, however many attempts
+	// and donations it took).
 	EventResolved
-	// EventRetry: an attempt failed (panic) and the root was re-queued.
+	// EventRetry: an attempt failed (panic) and its item was re-queued.
 	EventRetry
 	// EventRequeue: the stall watchdog abandoned a frozen attempt and
-	// re-queued the root.
+	// re-queued its item.
 	EventRequeue
-	// EventFailed: the root was abandoned after the attempt budget; its
-	// subtree is the census's coverage deficit.
+	// EventFailed: the root settled lost — an item of it ran out of its
+	// attempt budget; the root's subtree is the census's coverage
+	// deficit.
 	EventFailed
 )
 
@@ -112,7 +118,7 @@ type Event struct {
 	Err string
 }
 
-// DefaultMaxAttempts is the per-root attempt budget when
+// DefaultMaxAttempts is the per-item attempt budget when
 // Supervise.MaxAttempts is zero.
 const DefaultMaxAttempts = 3
 
@@ -144,20 +150,20 @@ type ChaosPlan struct {
 // SuperviseStats counts supervisor activity across one walk. All
 // fields are safe to read after the walk returns.
 type SuperviseStats struct {
-	// Attempts counts root claims (first tries and retries).
+	// Attempts counts item claims (first tries and retries).
 	Attempts atomic.Int64
 	// Retries counts re-enqueues after a failed (panicked) attempt.
 	Retries atomic.Int64
-	// Requeues counts watchdog-triggered re-enqueues of stalled roots.
+	// Requeues counts watchdog-triggered re-enqueues of stalled items.
 	Requeues atomic.Int64
 	// Kills and Stalls count injected chaos events.
 	Kills  atomic.Int64
 	Stalls atomic.Int64
-	// Failed counts roots abandoned after the attempt budget.
+	// Failed counts items abandoned after the attempt budget.
 	Failed atomic.Int64
 }
 
-// RootFailure records one subtree root permanently lost after the
+// RootFailure records one frontier root permanently lost after the
 // supervisor's retry budget. The coverage deficit is exact: the runs
 // under Prefix — and only those — are missing from the census.
 type RootFailure struct {
@@ -237,10 +243,10 @@ func (o Options) supervise() *supCfg {
 }
 
 // backoff is the delay before the attempt-th try (attempt >= 2) of the
-// given root: exponential, capped, with jitter drawn deterministically
-// from (seed, root, attempt) into the upper half so concurrent retries
-// spread out without sacrificing reproducibility.
-func (c *supCfg) backoff(root, attempt int) time.Duration {
+// given pool item: exponential, capped, with jitter drawn
+// deterministically from (seed, item, attempt) into the upper half so
+// concurrent retries spread out without sacrificing reproducibility.
+func (c *supCfg) backoff(item, attempt int) time.Duration {
 	d := c.base
 	for i := 2; i < attempt; i++ {
 		if d >= c.cap {
@@ -255,8 +261,8 @@ func (c *supCfg) backoff(root, attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	h := uint64(14695981039346656037) // FNV-1a over (seed, root, attempt)
-	for _, v := range [...]uint64{uint64(c.seed), uint64(root), uint64(attempt)} {
+	h := uint64(14695981039346656037) // FNV-1a over (seed, item, attempt)
+	for _, v := range [...]uint64{uint64(c.seed), uint64(item), uint64(attempt)} {
 		for s := 0; s < 64; s += 8 {
 			h ^= (v >> s) & 0xff
 			h *= 1099511628211
@@ -338,280 +344,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// rootClaim is one in-flight attempt at one root. hb is bumped by the
-// attempt's heartbeat (engine OnStep); last/lastAt/gone are watchdog
-// bookkeeping guarded by the supervisor mutex.
-type rootClaim struct {
-	root   int
-	cancel context.CancelFunc
-	hb     atomic.Int64
-	last   int64
-	lastAt time.Time
-	gone   bool
-}
-
-// superviseRoots runs task once per unresolved frontier root (leaves —
-// items with a nil prefix — are skipped; resolved[i], when non-nil,
-// pre-marks roots already done, e.g. credited from a checkpoint) on a
-// pool of workers with retry, backoff, and the stall watchdog per cfg.
-//
-// task explores one root; beat (nil unless the watchdog is armed) is
-// its progress heartbeat, and a true second return value means the
-// attempt observed ctx cancellation and its partial result must be
-// discarded. A panicking task fails the attempt; the root is re-queued
-// until cfg.maxAttempts, then reported in failed. onResolve, when
-// non-nil, is called once per root that completes successfully (from
-// worker goroutines, possibly concurrently).
-//
-// done[i] reports whether root i completed successfully; cancelled is
-// true when ctx ended the walk with roots outstanding.
-func superviseRoots[T any](
-	ctx context.Context,
-	items []frontierItem,
-	workers int,
-	cfg *supCfg,
-	resolved []bool,
-	task func(ctx context.Context, i int, beat func()) (T, bool),
-	onResolve func(i int, r T),
-) (results []T, done []bool, failed map[int]RootFailure, cancelled bool) {
-	n := len(items)
-	results = make([]T, n)
-	done = make([]bool, n)
-	failed = make(map[int]RootFailure)
-	attempts := make([]int, n)
-
-	// Queue capacity covers every possible enqueue (initial + retries +
-	// requeues share the per-root attempt budget) so sends never block.
-	queue := make(chan int, n*(cfg.maxAttempts+1)+workers)
-	remaining := 0
-	for i := range items {
-		if items[i].prefix == nil {
-			continue
-		}
-		if resolved != nil && resolved[i] {
-			done[i] = true
-			continue
-		}
-		remaining++
-		queue <- i
-	}
-	if remaining == 0 {
-		return results, done, failed, false
-	}
-
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		claims   = make(map[*rootClaim]struct{})
-		finished = make(chan struct{})
-		finOnce  sync.Once
-	)
-	finish := func() { finOnce.Do(func() { close(finished) }) }
-
-	// resolve settles root i exactly once — first completion wins; a
-	// straggling duplicate attempt is dropped, and any other in-flight
-	// claim of the same root is cancelled so it stops promptly.
-	resolve := func(i int, r T, fail *RootFailure) {
-		mu.Lock()
-		if done[i] || remaining == 0 {
-			mu.Unlock()
-			return
-		}
-		done[i] = true
-		ok := fail == nil
-		if ok {
-			results[i] = r
-		} else {
-			failed[i] = *fail
-			cfg.stats.Failed.Add(1)
-		}
-		remaining--
-		rem := remaining
-		for cl := range claims {
-			if cl.root == i {
-				cl.cancel()
-			}
-		}
-		mu.Unlock()
-		if ok {
-			cfg.emit(Event{Kind: EventResolved, Root: i})
-		} else {
-			cfg.emit(Event{Kind: EventFailed, Root: i, Attempt: fail.Attempts, Err: fail.Err})
-		}
-		if ok && onResolve != nil {
-			onResolve(i, r)
-		}
-		if rem == 0 {
-			finish()
-		}
-	}
-
-	runTask := func(cctx context.Context, i int, beat func()) (r T, taskCancelled bool, panicMsg string) {
-		defer func() {
-			if p := recover(); p != nil {
-				panicMsg = fmt.Sprintf("panic: %v", p)
-			}
-		}()
-		r, taskCancelled = task(cctx, i, beat)
-		if panicMsg == "" && !taskCancelled {
-			return r, false, ""
-		}
-		return r, taskCancelled, panicMsg
-	}
-
-	var worker func()
-	worker = func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-finished:
-				return
-			case <-ctx.Done():
-				return
-			case i := <-queue:
-				mu.Lock()
-				if done[i] {
-					mu.Unlock()
-					continue
-				}
-				attempts[i]++
-				a := attempts[i]
-				cctx, ccancel := context.WithCancel(ctx)
-				cl := &rootClaim{root: i, cancel: ccancel}
-				claims[cl] = struct{}{}
-				mu.Unlock()
-				cfg.stats.Attempts.Add(1)
-				cfg.emit(Event{Kind: EventClaim, Root: i, Attempt: a})
-				var beat func()
-				if cfg.stall > 0 {
-					beat = func() { cl.hb.Add(1) }
-				}
-				r, taskCancelled, panicMsg := runTask(cctx, i, beat)
-				mu.Lock()
-				delete(claims, cl)
-				mu.Unlock()
-				ccancel()
-				switch {
-				case panicMsg != "":
-					mu.Lock()
-					settled := done[i]
-					canRetry := attempts[i] < cfg.maxAttempts
-					mu.Unlock()
-					if settled {
-						continue
-					}
-					if canRetry {
-						cfg.stats.Retries.Add(1)
-						cfg.emit(Event{Kind: EventRetry, Root: i, Attempt: a, Err: panicMsg})
-						if !sleepCtx(ctx, cfg.backoff(i, a+1)) {
-							return
-						}
-						queue <- i
-					} else {
-						var zero T
-						resolve(i, zero, &RootFailure{
-							Prefix:   items[i].prefix,
-							Attempts: a,
-							Err:      panicMsg,
-						})
-					}
-				case taskCancelled:
-					// Partial attempt: either the whole walk is being
-					// cancelled (outer select exits next iteration) or
-					// this claim lost a race and the root is settled.
-				default:
-					resolve(i, r, nil)
-				}
-			}
-		}
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go worker()
-	}
-
-	// The watchdog samples every live claim's heartbeat; a claim frozen
-	// for cfg.stall is abandoned (its context cancelled so the stuck
-	// attempt dies as soon as it unsticks), the root re-queued if the
-	// attempt budget allows, and a replacement worker spawned so one
-	// wedged goroutine cannot shrink the pool. It runs inside wg so a
-	// late spawn can never race wg.Wait.
-	if cfg.stall > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := cfg.stall / 4
-			if tick <= 0 {
-				tick = time.Millisecond
-			}
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-finished:
-					return
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					type lostRoot struct {
-						i int
-						f RootFailure
-					}
-					var lost []lostRoot // resolve needs mu; settle after unlock
-					var requeued []int  // emit needs mu released
-					mu.Lock()
-					for cl := range claims {
-						if cl.gone {
-							continue
-						}
-						if v := cl.hb.Load(); cl.lastAt.IsZero() || v != cl.last {
-							cl.last, cl.lastAt = v, now
-							continue
-						}
-						if now.Sub(cl.lastAt) < cfg.stall {
-							continue
-						}
-						cl.gone = true
-						cl.cancel()
-						i := cl.root
-						if done[i] {
-							continue
-						}
-						if attempts[i] < cfg.maxAttempts {
-							cfg.stats.Requeues.Add(1)
-							requeued = append(requeued, i)
-							queue <- i
-							wg.Add(1)
-							go worker()
-						} else {
-							// No attempts left: settle the root as lost so
-							// the pool can still drain to completion.
-							lost = append(lost, lostRoot{i, RootFailure{
-								Prefix:   items[i].prefix,
-								Attempts: attempts[i],
-								Err:      fmt.Sprintf("stalled: no heartbeat progress for %v", cfg.stall),
-							}})
-						}
-					}
-					mu.Unlock()
-					for _, i := range requeued {
-						cfg.emit(Event{Kind: EventRequeue, Root: i})
-					}
-					var zero T
-					for _, l := range lost {
-						resolve(l.i, zero, &l.f)
-					}
-				}
-			}
-		}()
-	}
-
-	wg.Wait()
-	mu.Lock()
-	cancelled = remaining > 0
-	mu.Unlock()
-	return results, done, failed, cancelled
 }

@@ -186,78 +186,6 @@ func TestWatchdogStallRequeue(t *testing.T) {
 	}
 }
 
-// TestParallelVisitSupervised: the streamed walk must deliver the exact
-// sequential outcome order through both recovery paths — a killed root
-// (sequencer retries with the delivered prefix skipped) and a stalled
-// root (sequencer watchdog abandons and re-walks inline).
-func TestParallelVisitSupervised(t *testing.T) {
-	var want []string
-	Visit(wideTree, Options{}.withDefaults(), func(o Outcome) bool {
-		want = append(want, FormatSchedule(o.Schedule))
-		return true
-	})
-	base := Options{Workers: 4}.withDefaults()
-	var fc atomic.Int64
-	if _, ok := frontier(countingBuilder(wideTree, &fc, 0), base, base.workerCount()); !ok {
-		t.Fatal("frontier capped unexpectedly")
-	}
-
-	t.Run("kill-retry", func(t *testing.T) {
-		var stats SuperviseStats
-		var calls atomic.Int64
-		opts := base.With(fastRetries(3, &stats))
-		var got []string
-		runs, exhaustive := Visit(countingBuilder(wideTree, &calls, fc.Load()+1), opts, func(o Outcome) bool {
-			got = append(got, FormatSchedule(o.Schedule))
-			return true
-		})
-		if !exhaustive || runs != len(want) {
-			t.Fatalf("runs=%d exhaustive=%v, want %d exhaustive", runs, exhaustive, len(want))
-		}
-		if stats.Retries.Load() == 0 {
-			t.Fatal("no sequencer retry recorded")
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("outcome %d = %s, sequential order %s", i, got[i], want[i])
-			}
-		}
-	})
-
-	t.Run("stall-retry", func(t *testing.T) {
-		var stats SuperviseStats
-		opts := base.With(WithSupervision(Supervise{
-			MaxAttempts:  5,
-			BackoffBase:  time.Microsecond,
-			BackoffMax:   time.Microsecond,
-			StallTimeout: 20 * time.Millisecond,
-			Chaos: &ChaosPlan{
-				Seed:      9,
-				StallRate: 1,
-				MaxStalls: 4,
-				StallFor:  150 * time.Millisecond,
-			},
-			Stats: &stats,
-		}))
-		var got []string
-		runs, exhaustive := Visit(wideTree, opts, func(o Outcome) bool {
-			got = append(got, FormatSchedule(o.Schedule))
-			return true
-		})
-		if !exhaustive || runs != len(want) {
-			t.Fatalf("runs=%d exhaustive=%v, want %d exhaustive", runs, exhaustive, len(want))
-		}
-		if stats.Requeues.Load() == 0 {
-			t.Fatal("sequencer watchdog abandoned nothing despite injected stalls")
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("outcome %d = %s, sequential order %s", i, got[i], want[i])
-			}
-		}
-	})
-}
-
 // TestCancelMidRun: a context cancelled mid-walk must stop every engine
 // variant promptly, with Census.Cancelled set, Exhaustive false, and
 // all already-delivered counts real (bounded above by the baseline).
@@ -402,7 +330,7 @@ func TestCheckpointCorruptTolerated(t *testing.T) {
 func TestCheckpointDurableWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	f := &ckFile{Key: 99, Done: map[string]ckRoot{"0": {Complete: 7}}}
+	f := &ckFile{Key: 99, Done: map[string]RootSummary{"0": {Complete: 7}}}
 	if err := saveCheckpoint(path, f); err != nil {
 		t.Fatal(err)
 	}

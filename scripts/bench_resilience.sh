@@ -2,9 +2,9 @@
 # Runs the supervision-overhead benchmark (BenchmarkResilience in
 # internal/explore) and distills it into BENCH_resilience.json at the
 # repo root: one record per benchmark plus a paired overhead summary per
-# workload. The supervised run must stay within 5% of the plain
-# ParallelVisit baseline (the acceptance bound); the script exits
-# non-zero when it does not.
+# workload. The supervised run must stay within 5% of the plain pooled
+# census baseline (the acceptance bound); the script exits non-zero
+# when it does not.
 #
 #   scripts/bench_resilience.sh [--force] [benchtime]     # default 3x
 set -eu

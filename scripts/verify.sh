@@ -24,8 +24,8 @@ go test -race -count=1 ./internal/censusd/
 echo "== distributed-census client/worker under the race detector"
 go test -race -count=1 ./internal/distcensus/
 
-echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint)"
-go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic' \
+echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses)"
+go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates' \
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation)"
@@ -57,6 +57,18 @@ if ! cmp -s "$mjson" "$gjson"; then
 	exit 1
 fi
 rm -f "$mjson" "$gjson"
+
+echo "== pooled census smoke: an unpruned census on two workers must match one worker byte for byte, violation schedules included"
+w1json="$(mktemp)"
+w2json="$(mktemp)"
+go run ./cmd/explore -protocol rw3 -bivalence=false -json -workers 1 > "$w1json"
+go run ./cmd/explore -protocol rw3 -bivalence=false -json -workers 2 > "$w2json"
+if ! cmp -s "$w1json" "$w2json"; then
+	echo "verify: FAIL — the two-worker census differs from the one-worker census:" >&2
+	diff "$w1json" "$w2json" >&2 || true
+	exit 1
+fi
+rm -f "$w1json" "$w2json"
 
 echo "== fingerprint audit census: incremental plain+canonical hashes cross-checked against from-scratch recomputes on every step"
 go run ./cmd/explore -protocol cas -k 4 -n 3 -crashes 1 -symmetry -verifyfp \
