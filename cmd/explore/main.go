@@ -44,7 +44,6 @@ func run() error {
 	symmetry := flag.Bool("symmetry", false, "canonicalize fingerprints under declared process symmetry (implies -prune; audited per protocol, silently off with a note if the protocol declares none)")
 	sleepsets := flag.Bool("sleepsets", false, "skip re-exploration of independent-step commutations via the prune table (implies -prune)")
 	verifyfp := flag.Bool("verifyfp", false, "audit the incremental fingerprint caches: cross-check every granted step's plain and canonical hashes against from-scratch recomputes, panicking on divergence (slow; for verification runs)")
-	goroutines := flag.Bool("goroutines", false, "force the goroutine execution engine even for machine-backed protocols (disables the direct-dispatch fast path; counts are identical either way)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: periodically persist census progress for -resume")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "save the checkpoint after this many completed subtree roots (0 = default)")
 	resume := flag.Bool("resume", false, "resume from -checkpoint if it matches this exploration")
@@ -95,7 +94,6 @@ func run() error {
 	}
 
 	opts := req.Options()
-	opts.ForceGoroutines = *goroutines
 	opts.VerifyFingerprints = *verifyfp
 	opts.PruneTableEntries = *pruneBudget
 	opts.Context = ctx

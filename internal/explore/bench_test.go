@@ -62,11 +62,11 @@ func electionInstance(k, n, crashes int) benchInstance {
 }
 
 // electionMachineInstance is the same election workload on the
-// sim.Machine port (DirectCASMachines): System.Run auto-selects the
-// direct-dispatch runner and the engines backtrack in place, so the
-// gap between a machine row and its goroutine twin is the tentpole
-// speedup, gated per-engine by scripts/bench_compare.sh. New rows vs a
-// pre-machine base ref need the one-time BENCH_COMPARE_ALLOW_NEW=1.
+// sim.Machine port (DirectCASMachines): machine steps are plain calls
+// and the engines backtrack in place, so the gap between a machine row
+// and its Program twin is what the Machine form saves, gated
+// per-engine by scripts/bench_compare.sh. New rows vs a pre-machine
+// base ref need the one-time BENCH_COMPARE_ALLOW_NEW=1.
 func electionMachineInstance(k, n, crashes int) benchInstance {
 	ids := make([]sim.Value, n)
 	for i := range ids {

@@ -243,9 +243,7 @@ func (en *engine) release() {
 func (en *engine) probe() (*sim.Result, *summary) {
 	if !en.meTried {
 		en.meTried = true
-		if !en.opts.ForceGoroutines {
-			en.initMachine()
-		}
+		en.initMachine()
 	}
 	if en.table != nil {
 		en.table.probes.Add(1)
@@ -283,7 +281,6 @@ func (en *engine) simConfig() sim.Config {
 		Fingerprint:        en.table != nil,
 		Canon:              en.canon,
 		Scratch:            en.scratch,
-		ForceGoroutines:    en.opts.ForceGoroutines,
 		VerifyFingerprints: en.opts.VerifyFingerprints,
 	}
 	if en.opts.ObjectFaults > 0 {
@@ -682,8 +679,8 @@ type prober struct {
 	dead       bool // planned pick was not ready (builder bug)
 	// pendingFault is armed by Next when the consumed plan choice
 	// carries an object fault and collected by FaultOp from the granted
-	// step's Env.Apply. Auto-descent never faults: fault branches exist
-	// only through backtracking into planned choices.
+	// step. Auto-descent never faults: fault branches exist only
+	// through backtracking into planned choices.
 	pendingFault sim.FaultMode
 	// crashBuf backs CrashNow's return value across probes.
 	crashBuf []sim.ProcID

@@ -146,14 +146,6 @@ type Options struct {
 	// never for production censuses. It must not change any count or
 	// fingerprint, so it is excluded from checkpoint keys.
 	VerifyFingerprints bool
-	// ForceGoroutines disables the machine fast paths: probes run the
-	// goroutine runner even when the builder's system is machine-backed,
-	// and the engines' in-place backtracking DFS is never engaged. An
-	// execution-strategy switch for cross-checking and ablation — it
-	// must not change any count or fingerprint, which the equivalence
-	// tests enforce. Excluded from checkpoint keys (like Context, it
-	// does not shape the tree).
-	ForceGoroutines bool
 	// Context, when non-nil, cancels the walk cooperatively: engines
 	// check it once per terminal probe (and the pool between item
 	// claims), so a cancelled run stops within one probe per worker and
@@ -213,12 +205,6 @@ func WithPruneBudget(entries int) Tune {
 // converting runaway executions into census entries.
 func WithStepLimit(n int) Tune {
 	return func(o *Options) { o.MaxStepsPerProc = n }
-}
-
-// WithForceGoroutines enables Options.ForceGoroutines, pinning every
-// probe to the goroutine runner for cross-checking the machine paths.
-func WithForceGoroutines() Tune {
-	return func(o *Options) { o.ForceGoroutines = true }
 }
 
 // WithVerifyFingerprints enables Options.VerifyFingerprints, auditing
@@ -425,9 +411,8 @@ func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.
 // consumed by CrashNow (the runner consults faults first at each
 // decision point), pick choices by Next; when the sequence is exhausted
 // Next halts the run. A fault-pick arms pendingFault in Next, and the
-// granted step's Env.Apply collects it through FaultOp — no step
-// arithmetic is needed because FaultOp is consulted exactly once per
-// granted step.
+// granted step collects it through FaultOp — no step arithmetic is
+// needed because FaultOp is consulted exactly once per granted step.
 type choicePlan struct {
 	choices      []Choice
 	i            int

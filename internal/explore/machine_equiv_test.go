@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/censusd"
 	"repro/internal/consensus"
 	"repro/internal/election"
 	"repro/internal/explore"
@@ -14,37 +15,69 @@ import (
 )
 
 // TestMachineCensusMatchesGoroutine is the soundness matrix for the
-// machine execution mode: every protocol census must be bit-identical —
-// run counts, outcome-fingerprint histograms, violation counts —
-// between the in-place backtracking machine DFS (the default for
-// machine-backed builders) and the goroutine replay engine
-// (Options.ForceGoroutines), across the reducer and fault dimensions,
-// sequentially and under forced-donation work stealing. Run under
-// -race in the tier-1 suite.
+// in-place machine DFS: every protocol census — run counts, outcome
+// histograms, violation counts — must equal the census folded from
+// VisitReplay, which rebuilds the system for every tree node and shares
+// neither snapshots nor the prober with the engine, across the reducer
+// and fault dimensions, sequentially and under forced-donation work
+// stealing. Run under -race in the tier-1 suite.
 func TestMachineCensusMatchesGoroutine(t *testing.T) {
 	explore.ForceDonation(t)
-	protocols := []struct {
+	type protocol struct {
 		name string
-		run  func(force bool, tunes ...explore.Tune) *explore.Census
-	}{
-		{"election-direct-cas", func(force bool, tunes ...explore.Tune) *explore.Census {
-			return election.CensusDirect(4, 3, 0, withForce(force, tunes)...)
-		}},
-		{"consensus-cas", func(force bool, tunes ...explore.Tune) *explore.Census {
-			return consensus.CensusCAS(3, 2, 0, withForce(force, tunes)...)
-		}},
-		{"consensus-queue", func(force bool, tunes ...explore.Tune) *explore.Census {
-			return consensus.CensusQueue(0, withForce(force, tunes)...)
-		}},
-		{"consensus-stickybit", func(force bool, tunes ...explore.Tune) *explore.Census {
-			return consensus.CensusStickyBit(3, 0, withForce(force, tunes)...)
-		}},
+		// The oracle walks b under opts; census, when set, is the
+		// production entry point for the same protocol, otherwise the
+		// census is explore.Run over b.
+		b      explore.Builder
+		opts   explore.Options
+		check  func(*sim.Result) error
+		census func(tunes ...explore.Tune) *explore.Census
+	}
+	// registry resolves a protocol exactly as cmd/explore does.
+	crashes := 1
+	registry := func(name string, req censusd.Request, census func(...explore.Tune) *explore.Census) protocol {
+		req.Crashes = &crashes
+		if err := req.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		b, props, err := req.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol{name: name, b: b, opts: req.Options(), check: req.Check(props), census: census}
+	}
+	ids := []sim.Value{0, 1, 2}
+	props := []sim.Value{100, 101}
+	protocols := []protocol{
+		{
+			name: "election-direct-cas",
+			b: func() *sim.System {
+				sys := sim.NewSystem()
+				cas := objects.NewCAS("cas", 4)
+				sys.Add(cas)
+				for _, m := range election.DirectCASMachines(cas, 4, 3) {
+					sys.SpawnMachine(m)
+				}
+				return sys
+			},
+			opts:  explore.Options{MaxCrashes: 1},
+			check: func(res *sim.Result) error { return election.CheckElection(res, ids) },
+			census: func(tunes ...explore.Tune) *explore.Census {
+				return election.CensusDirect(4, 3, 0, tunes...)
+			},
+		},
+		registry("consensus-cas", censusd.Request{Protocol: "cas", K: 3, N: 2},
+			func(tunes ...explore.Tune) *explore.Census { return consensus.CensusCAS(3, 2, 0, tunes...) }),
+		registry("consensus-queue", censusd.Request{Protocol: "queue2"},
+			func(tunes ...explore.Tune) *explore.Census { return consensus.CensusQueue(0, tunes...) }),
+		registry("consensus-stickybit", censusd.Request{Protocol: "sticky", N: 3},
+			func(tunes ...explore.Tune) *explore.Census { return consensus.CensusStickyBit(3, 0, tunes...) }),
 		// Object-fault enumeration over the fault-wrapped degrading CAS:
 		// the machine port must take the same degradation branches on the
 		// same injected-fault placements.
-		{"consensus-casdeg-faults", func(force bool, tunes ...explore.Tune) *explore.Census {
-			props := []sim.Value{100, 101}
-			b := func() *sim.System {
+		{
+			name: "consensus-casdeg-faults",
+			b: func() *sim.System {
 				sys := sim.NewSystem()
 				obj := faults.Wrap(objects.NewCAS("cas", 3))
 				sys.Add(obj)
@@ -52,21 +85,28 @@ func TestMachineCensusMatchesGoroutine(t *testing.T) {
 					sys.SpawnMachine(m)
 				}
 				return sys
-			}
-			opts := explore.Options{
-				MaxCrashes:      1,
-				ObjectFaults:    1,
-				FaultModes:      []sim.FaultMode{sim.FaultCrash, sim.FaultGarble},
-				ForceGoroutines: force,
-			}.With(tunes...)
-			return explore.Run(b, opts, func(res *sim.Result) error {
+			},
+			opts: explore.Options{
+				MaxCrashes:   1,
+				ObjectFaults: 1,
+				FaultModes:   []sim.FaultMode{sim.FaultCrash, sim.FaultGarble},
+			},
+			check: func(res *sim.Result) error {
 				if err := consensus.CheckAgreement(res); err != nil {
 					return err
 				}
 				return consensus.CheckValidity(res, props)
-			})
-		}},
+			},
+		},
+		// Two cmd/explore instances, their flags as the base options:
+		// -protocol cas -k 4 -n 2 -crashes 1 -prune -symmetry and
+		// -protocol swap -n 3 -crashes 1 -symmetry (-workers 1).
+		registry("cas-k4-n2-crash1-symmetry", censusd.Request{Protocol: "cas", K: 4, N: 2,
+			Workers: 1, Prune: true, Symmetry: true}, nil),
+		registry("swap-n3-crash1-symmetry", censusd.Request{Protocol: "swap", N: 3,
+			Workers: 1, Symmetry: true}, nil),
 	}
+
 	configs := []struct {
 		name  string
 		tunes []explore.Tune
@@ -77,26 +117,52 @@ func TestMachineCensusMatchesGoroutine(t *testing.T) {
 	}
 	for _, p := range protocols {
 		t.Run(p.name, func(t *testing.T) {
+			if !p.b().Snapshotable() {
+				t.Fatal("builder is not snapshotable: the census would not run the in-place DFS")
+			}
+			want := replayCensus(p.b, p.opts, p.check)
+			if !want.Exhaustive {
+				t.Fatal("replay walk was capped")
+			}
 			for _, c := range configs {
-				want := p.run(true, c.tunes...) // goroutine engine: ground truth
-				got := p.run(false, c.tunes...) // machine in-place DFS
+				var got *explore.Census
+				if p.census != nil {
+					got = p.census(c.tunes...)
+				} else {
+					got = explore.Run(p.b, p.opts.With(c.tunes...), p.check)
+				}
 				assertCensusEqual(t, c.name, got, want)
 			}
 		})
 	}
 }
 
-func withForce(force bool, tunes []explore.Tune) []explore.Tune {
-	if !force {
-		return tunes
-	}
-	return append([]explore.Tune{explore.WithForceGoroutines()}, tunes...)
+// replayCensus folds every run VisitReplay visits into the census
+// fields assertCensusEqual compares.
+func replayCensus(b explore.Builder, opts explore.Options, check func(*sim.Result) error) *explore.Census {
+	c := &explore.Census{Outcomes: make(map[string]int)}
+	_, c.Exhaustive = explore.VisitReplay(b, opts, func(o explore.Outcome) bool {
+		if o.Result.Halted {
+			c.Incomplete++
+			return true
+		}
+		c.Complete++
+		c.Outcomes[explore.DecisionFingerprint(o.Result)]++
+		if check != nil && check(o.Result) != nil {
+			c.ViolationRuns++
+			if len(c.Violations) < explore.MaxRecordedViolations {
+				c.Violations = append(c.Violations, o)
+			}
+		}
+		return true
+	})
+	return c
 }
 
 // TestMachineProgramCensusAgree pins the cross-form claim end to end:
-// a census over the hand-written Program protocol (necessarily on the
-// goroutine runner) and one over its machine port (on the in-place
-// DFS) count the same tree — same totals, same outcome fingerprints.
+// a census over the hand-written Program protocol (rebuilt for every
+// probe) and one over its machine port (on the in-place DFS) count the
+// same tree — same totals, same outcome fingerprints.
 func TestMachineProgramCensusAgree(t *testing.T) {
 	props := []sim.Value{100, 101}
 	check := func(res *sim.Result) error {
@@ -198,7 +264,7 @@ func TestWitnessMachinePortAgrees(t *testing.T) {
 
 // TestDegradeElectionMachinePortAgrees pins the degrading-election
 // port under object-fault enumeration: election.DegradingCAS (Program,
-// goroutine runner) and election.DegradingCASMachines (in-place DFS)
+// rebuilt for every probe) and election.DegradingCASMachines (in-place DFS)
 // must census the same tree, degradation branches included.
 func TestDegradeElectionMachinePortAgrees(t *testing.T) {
 	const k, n = 3, 2

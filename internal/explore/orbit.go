@@ -88,7 +88,6 @@ func rootOrbitKey(b Builder, opts Options, prefix []Choice) (tableKey, int, bool
 		DisableTrace:       true,
 		Fingerprint:        true,
 		Canon:              opts.canon,
-		ForceGoroutines:    opts.ForceGoroutines,
 		VerifyFingerprints: opts.VerifyFingerprints,
 	}
 	if opts.ObjectFaults > 0 {

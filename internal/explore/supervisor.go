@@ -128,20 +128,25 @@ const (
 	DefaultBackoffMax  = 500 * time.Millisecond
 )
 
-// ChaosPlan injects faults into worker-side exploration: each builder
-// call (one per terminal probe) may panic ("kill") or sleep ("stall"),
-// decided by a seeded RNG so failures land at reproducible points.
-// Frontier enumeration and checkpoint replay always use the clean
-// builder — chaos only ever hits work the supervisor protects.
+// ChaosPlan injects faults into worker-side exploration: each call of
+// the worker-side builder may panic ("kill") or sleep ("stall"),
+// decided by a seeded RNG so failures land at reproducible points. The
+// engine calls the builder once per item attempt (initMachine builds
+// the system to test Snapshotable); a Snapshotable system is restored
+// in place after that, while any other builder is called again for
+// every terminal probe. Frontier enumeration and checkpoint replay
+// always use the clean builder — chaos only ever hits work the
+// supervisor protects.
 type ChaosPlan struct {
 	// Seed seeds the injection RNG.
 	Seed int64
-	// KillRate is the per-probe probability of an injected panic;
-	// MaxKills caps the total injected kills (0 = unlimited).
+	// KillRate is the per-builder-call probability of an injected
+	// panic; MaxKills caps the total injected kills (0 = unlimited).
 	KillRate float64
 	MaxKills int
-	// StallRate is the per-probe probability of an injected sleep of
-	// StallFor (default 50ms); MaxStalls caps them (0 = unlimited).
+	// StallRate is the per-builder-call probability of an injected
+	// sleep of StallFor (default 50ms); MaxStalls caps them (0 =
+	// unlimited).
 	StallRate float64
 	MaxStalls int
 	StallFor  time.Duration
@@ -311,7 +316,9 @@ type chaosKill struct{}
 func (chaosKill) String() string { return "chaos: injected worker kill" }
 
 // wrapChaos wraps a builder for worker-side exploration under the chaos
-// plan. With no plan it returns b unchanged (zero overhead).
+// plan: every call draws once from the plan (see ChaosPlan for how
+// often the engine calls it). With no plan it returns b unchanged
+// (zero overhead).
 func (c *supCfg) wrapChaos(b Builder) Builder {
 	if c.chaos == nil {
 		return b

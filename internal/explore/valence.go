@@ -34,16 +34,6 @@ func Valence(b Builder, opts Options, prefix []Choice) []string {
 	return out
 }
 
-func countCrashes(cs []Choice) int {
-	n := 0
-	for _, c := range cs {
-		if c.Crash {
-			n++
-		}
-	}
-	return n
-}
-
 // Bivalent reports whether at least two distinct decision fingerprints
 // are reachable from prefix.
 func Bivalent(b Builder, opts Options, prefix []Choice) bool {

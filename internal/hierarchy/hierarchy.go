@@ -281,4 +281,3 @@ func CheckStickyBit(n int, maxRuns int, tunes ...explore.Tune) Witness {
 	w.Object, w.N = "sticky bit", n
 	return w
 }
-

@@ -150,9 +150,12 @@ func symLoopCanon(b testing.TB, n int) *sim.Canonicalizer {
 	return canon
 }
 
-// BenchmarkSimStep prices one granted shared step of the lockstep
-// runner in the exploration configuration (reused Scratch, tracing
-// off), across the fingerprint modes:
+// BenchmarkSimStep prices one granted shared step of the runner in the
+// exploration configuration (reused Scratch, tracing off), for
+// Programs (the unprefixed rows: each step hands its result to the
+// Program's host goroutine and waits for the next operation, two
+// channel operations) and Machines (the "machine," rows: a plain call),
+// across the fingerprint modes:
 //
 //	fingerprint=off    no observation hashing
 //	fingerprint=on     per-step result fold + incremental plain cache
@@ -175,7 +178,7 @@ func BenchmarkSimStep(b *testing.B) {
 		canon   string // "" plain, "incr" cached, "scratch" full refold
 	}
 	rows := []row{
-		// The goroutine rows keep their original names so recorded
+		// The Program rows keep their original names so recorded
 		// baselines stay comparable; machine/canon rows are new names.
 		{name: "fingerprint=off"},
 		{name: "fingerprint=on", fp: true},

@@ -2,9 +2,9 @@ package sim
 
 import "fmt"
 
-// Env is a process's handle to the shared-memory machine. All shared
-// operations block at the scheduler gate: calling any operation yields
-// control until the scheduler grants this process its next step.
+// Env is a Program's handle to the shared-memory machine. Every shared
+// operation parks the Program's host goroutine: the runner performs the
+// operation when the scheduler grants this process its next step.
 type Env struct {
 	sys  *System
 	proc *proc
@@ -20,7 +20,7 @@ func (e *Env) NumProcs() int { return len(e.sys.procs) }
 func (e *Env) Steps() int { return e.proc.steps }
 
 // Apply performs one atomic operation on obj. The calling goroutine
-// blocks until the scheduler grants the step. If the object rejects the
+// parks until the scheduler grants the step. If the object rejects the
 // operation the process is stopped and the error is recorded in the
 // run's Result.
 //
@@ -52,79 +52,46 @@ func (e *Env) Apply2(obj Object, op OpKind, a0, a1 Value) Value {
 	return e.apply(obj, op, e.proc.argbuf[:2])
 }
 
+// apply publishes the operation and parks the Program's host goroutine
+// until the runner has executed it as the process's next granted step
+// (MachineExec.step) and handed back the result. Every shared step
+// costs these two channel operations.
 func (e *Env) apply(obj Object, op OpKind, args []Value) Value {
-	// Publish the static footprint of the upcoming step BEFORE parking
-	// at the gate: the runner (and the scheduler it calls) reads it via
-	// System.PendingObject while this goroutine is blocked, so the
-	// events-channel send inside gate orders the write before any read.
-	e.proc.pendingObj = obj.Name()
-	e.gate()
-	idx := e.sys.steps
-	for _, sp := range e.proc.pending {
-		sp.Start = idx
-	}
-	e.proc.pending = e.proc.pending[:0]
-	e.proc.lastStep = idx
-	var v Value
-	var err error
-	// Consult the object-fault plan exactly once per step, even when the
-	// target object is not Faultable: the plan may be stateful (a
-	// pending one-shot fault choice) and must see every step. The
-	// Faultable assertion is paid only on the rare steps where a fault
-	// actually fires — fault-free steps go straight to Apply.
-	mode := FaultNone
-	if e.sys.objFaults != nil {
-		mode = e.sys.objFaults.FaultOp(idx)
-	}
-	if mode != FaultNone {
-		if fo, ok := obj.(Faultable); ok {
-			v, err = fo.ApplyFault(e.proc.id, op, args, mode)
-		} else {
-			v, err = obj.Apply(e.proc.id, op, args)
-		}
-	} else {
-		v, err = obj.Apply(e.proc.id, op, args)
-	}
-	if err != nil {
-		err = fmt.Errorf("proc %d: %s.%s: %w", e.proc.id, obj.Name(), op, err)
-		if e.sys.trace != nil {
-			e.sys.trace.record(e.sys.steps, e.proc.id, obj.Name(), op, e.traceArgs(args), err)
-		}
-		if e.sys.fingerprint {
-			// The process dies with this error (its status component
-			// changes once runProc records it) and the object may have
-			// mutated before rejecting — mark both stale.
-			e.sys.fpTouchObj(obj.Name())
-			e.sys.fpTouchProc(int(e.proc.id))
-		}
-		panic(opError{err: err})
-	}
-	if e.sys.trace != nil {
-		e.sys.trace.record(e.sys.steps, e.proc.id, obj.Name(), op, e.traceArgs(args), v)
-	}
-	if e.sys.fingerprint {
-		e.proc.foldOp(v)
-		if e.sys.canon != nil {
-			e.sys.canon.foldOpPerms(e.proc, v)
-		}
-		if e.sys.fp.init {
-			e.sys.fpTouchObj(obj.Name())
-			e.sys.fpTouchProc(int(e.proc.id))
-		}
+	p := e.proc
+	p.obj, p.op, p.args = obj, op, args
+	p.host <- nil
+	v := <-p.host
+	if _, ok := v.(killSignal); ok {
+		panic(v) // recovered in startHost's goroutine; see System.kill
 	}
 	return v
 }
 
-// traceArgs returns args safe for retention by the trace. The
-// fixed-arity fast paths stage arguments in the process's reusable
-// buffer; a recorded Event outlives the step, so those must be copied
-// out. Variadic Apply args are freshly allocated per call and pass
-// through untouched.
-func (e *Env) traceArgs(args []Value) []Value {
-	if len(args) > 0 && &args[0] == &e.proc.argbuf[0] {
-		return append([]Value(nil), args...)
-	}
-	return args
+// killSignal is sent in place of an operation's result to unwind a
+// parked Program: crash, halt, step limit, rejected operation, or a
+// run aborted by scheduler misuse.
+type killSignal struct{}
+
+// startHost launches Program p on its host goroutine and waits until it
+// parks at its first operation. It reports false if the Program
+// returned without taking any shared step.
+func (s *System) startHost(p *proc) bool {
+	p.env = Env{sys: s, proc: p}
+	p.host = make(chan Value)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(killSignal); !ok {
+					panic(r) // real bug in protocol code: do not mask it
+				}
+			}
+			p.done = true
+			p.host <- nil
+		}()
+		p.value, p.err = p.program(&p.env)
+	}()
+	<-p.host
+	return !p.done
 }
 
 // ApplyNamed is Apply on the object registered under name. It panics if
@@ -168,18 +135,4 @@ func (e *Env) EndOp(sp *Span, result Value) {
 	}
 	sp.End = e.proc.lastStep
 	sp.Result = result
-}
-
-// gate blocks until the scheduler grants this process a step. It
-// signals the runner that the process has completed its previous step
-// and is ready again.
-func (e *Env) gate() {
-	e.sys.events <- procEvent{id: e.proc.id}
-	if _, ok := <-e.proc.grant; !ok {
-		panic(errCrashSignal{})
-	}
-	// Count the step here so Env.Steps() is current during the granted
-	// operation. The runner is blocked until this process yields again,
-	// so the write is race-free.
-	e.proc.steps++
 }

@@ -56,9 +56,9 @@ func buildFaultyCAS(rounds int) func() *sim.System {
 // TestIncrementalFingerprintMatchesRecompute is the soundness gate of
 // the incremental fingerprint cache: across randomized schedules,
 // random crash injections, object-fault injections and symmetry
-// canonicalization, on both runners, the incrementally maintained
-// fingerprints must equal a from-scratch recompute at EVERY decision
-// point. Config.VerifyFingerprints performs the comparison inside
+// canonicalization, for Programs and Machines, the incrementally
+// maintained fingerprints must equal a from-scratch recompute at EVERY
+// decision point. Config.VerifyFingerprints performs the comparison inside
 // StateHash/StateHashCanon and panics on divergence; the scheduler here
 // forces a read at every decision so no dirty-flush path goes
 // unchecked. Run under -race via scripts/verify.sh.
@@ -78,63 +78,56 @@ func TestIncrementalFingerprintMatchesRecompute(t *testing.T) {
 	}
 	modes := []sim.FaultMode{sim.FaultOmission, sim.FaultReset, sim.FaultGarble, sim.FaultCrash}
 	for _, fam := range families {
-		for _, force := range []bool{false, true} {
-			name := fam.name
-			if force {
-				name += "/forced-goroutines"
-			}
-			t.Run(name, func(t *testing.T) {
-				var canon *sim.Canonicalizer
-				if fam.canon {
-					probe := fam.build()
-					var err error
-					canon, err = sim.NewCanonicalizer(probe, probe.SymmetrySpec())
-					if err != nil {
-						t.Fatalf("NewCanonicalizer: %v", err)
-					}
+		t.Run(fam.name, func(t *testing.T) {
+			var canon *sim.Canonicalizer
+			if fam.canon {
+				probe := fam.build()
+				var err error
+				canon, err = sim.NewCanonicalizer(probe, probe.SymmetrySpec())
+				if err != nil {
+					t.Fatalf("NewCanonicalizer: %v", err)
 				}
-				rng := rand.New(rand.NewSource(0xfb0a + int64(len(fam.name))))
-				for trial := 0; trial < 40; trial++ {
-					sys := fam.build()
-					// Read both keyspaces at every decision point; with
-					// VerifyFingerprints on, each read cross-checks the
-					// cache against a from-scratch recompute.
-					sched := sim.SchedulerFunc(func(ready []sim.ProcID, _ int) sim.ProcID {
-						if _, ok := sys.StateHash(); !ok {
-							t.Fatal("fingerprint unavailable mid-run")
-						}
-						sys.StateHashCanon()
-						return ready[rng.Intn(len(ready))]
-					})
-					cfg := sim.Config{
-						Scheduler:          sched,
-						Fingerprint:        true,
-						Canon:              canon,
-						VerifyFingerprints: true,
-						DisableTrace:       true,
-						ForceGoroutines:    force,
-					}
-					if trial%2 == 1 {
-						cfg.Faults = sim.RandomCrashes(int64(trial), 0.05, 1)
-					}
-					if fam.fault {
-						inject := map[int]sim.FaultMode{
-							rng.Intn(16): modes[trial%len(modes)],
-						}
-						cfg.ObjectFaults = sim.FaultAtSteps(inject)
-					}
-					if _, err := sys.Run(cfg); err != nil {
-						t.Fatalf("trial %d: %v", trial, err)
-					}
-					// Final states verify too (buildResult's read above ran
-					// unchecked paths only if the run took zero steps).
+			}
+			rng := rand.New(rand.NewSource(0xfb0a + int64(len(fam.name))))
+			for trial := 0; trial < 40; trial++ {
+				sys := fam.build()
+				// Read both keyspaces at every decision point; with
+				// VerifyFingerprints on, each read cross-checks the
+				// cache against a from-scratch recompute.
+				sched := sim.SchedulerFunc(func(ready []sim.ProcID, _ int) sim.ProcID {
 					if _, ok := sys.StateHash(); !ok {
-						t.Fatalf("trial %d: final fingerprint unavailable", trial)
+						t.Fatal("fingerprint unavailable mid-run")
 					}
 					sys.StateHashCanon()
+					return ready[rng.Intn(len(ready))]
+				})
+				cfg := sim.Config{
+					Scheduler:          sched,
+					Fingerprint:        true,
+					Canon:              canon,
+					VerifyFingerprints: true,
+					DisableTrace:       true,
 				}
-			})
-		}
+				if trial%2 == 1 {
+					cfg.Faults = sim.RandomCrashes(int64(trial), 0.05, 1)
+				}
+				if fam.fault {
+					inject := map[int]sim.FaultMode{
+						rng.Intn(16): modes[trial%len(modes)],
+					}
+					cfg.ObjectFaults = sim.FaultAtSteps(inject)
+				}
+				if _, err := sys.Run(cfg); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				// Final states verify too (buildResult's read above ran
+				// unchecked paths only if the run took zero steps).
+				if _, ok := sys.StateHash(); !ok {
+					t.Fatalf("trial %d: final fingerprint unavailable", trial)
+				}
+				sys.StateHashCanon()
+			}
+		})
 	}
 }
 

@@ -164,16 +164,16 @@ const (
 // or StateKeyer; otherwise ok is false.
 //
 // Soundness: a process is deterministic, communicates only through
-// gated operations, and parks at the scheduler gate between steps, so
-// its entire local state ("PC + locals") is a function of its
+// shared operations, and is parked at its next operation between
+// steps, so its entire local state ("PC + locals") is a function of its
 // observation history. Two prefixes with equal fingerprints therefore
 // reach global states from which the same schedules produce identical
 // Results (up to hash collision; explorers cross-check on small
 // instances).
 //
 // StateHash may be called from inside Scheduler.Next or
-// FaultPlan.CrashNow: at every decision point the runner has all live
-// processes parked at their gates, so the state is quiescent. This is
+// FaultPlan.CrashNow: at every decision point every live process is
+// parked at its next operation, so the state is quiescent. This is
 // the cheap mid-run observation hook used by the explore package to
 // fingerprint the frontier without a separate replay per node.
 // StateHash is incrementally maintained (see fingerprint.go): the
@@ -209,9 +209,8 @@ func (s *System) sortedNames() []string {
 }
 
 // foldOp accumulates one observed operation into the process's
-// observation-history hash. Called from Env.apply (or the machine
-// stepper) while the runner is blocked on this process, so the write is
-// race-free.
+// observation-history hash. Called from the runner's step while the
+// process is parked at that operation, so the write is race-free.
 //
 // Only the RESULT is folded. The process is deterministic, so which
 // object it targets, which operation it issues and with which arguments

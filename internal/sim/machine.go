@@ -5,25 +5,20 @@ import (
 	"fmt"
 )
 
-// This file is the direct-dispatch execution mode: processes written as
-// explicit resumable state machines instead of goroutine-hosted
-// Programs. A Machine exposes its next shared operation as data
-// (Pending) and advances one operation at a time (Finish), so the
-// runner can execute a step as a plain function call — zero goroutine
-// creation, zero channel operations, no park/unpark per step. Because
-// machine-local state lives in a plain struct, a machine-backed System
-// can also be snapshotted and restored in place, which is what the
-// explore package's in-place backtracking DFS builds on.
-//
-// Semantics are identical to the goroutine runner by construction: the
-// machine loop performs the same scheduler/fault-plan/step sequence as
-// System.Run, stages arguments through the same per-process buffer,
-// folds the same observation hashes, and records the same trace events,
-// so a machine-backed run and a goroutine run of the same protocol
-// under the same schedule produce bit-identical Results and
-// fingerprints. SpawnMachine installs a driver Program alongside the
-// machine, so Config.ForceGoroutines (and any explorer that wants the
-// goroutine path) replays machines through the original runner.
+// This file is the runner. A process is a Program (a Go function on a
+// host goroutine, see env.go) or a Machine: an explicit resumable state
+// machine that exposes its next shared operation as data (Pending) and
+// advances one operation at a time (Finish). A Program publishes its
+// next operation in Env.apply before it parks; a Machine's is its
+// Pending. One loop (MachineExec.loop) and one step function
+// (MachineExec.step) execute it: argument staging, fault plan, trace,
+// fingerprint fold, op-error wrapping. A
+// Machine step is a plain function call — no goroutine, no channel
+// operation; a Program step adds the two channel operations that hand
+// the result to its goroutine and wait for its next operation. Because
+// machine-local state lives in a plain struct, a System of Machines can
+// also be snapshotted and restored in place, which is what the explore
+// package's in-place backtracking DFS builds on.
 
 // MachineOp is the next shared operation a Machine wants to perform,
 // described as data. At most two arguments — every operation in this
@@ -42,7 +37,7 @@ type MachineOp struct {
 }
 
 // Machine is one process expressed as a resumable state machine. The
-// contract mirrors a Program parked at its scheduler gate:
+// contract mirrors a Program parked at its next operation:
 //
 //   - Pending returns the operation the process will perform when next
 //     scheduled. It must be a pure read (no state change) and stable:
@@ -58,9 +53,9 @@ type MachineOp struct {
 // A Machine performs at least one shared operation (Pending must be
 // valid before the first Finish); a protocol that can decide without
 // any shared step must stay a Program. An operation whose result is an
-// error kills the process through the runner exactly as it would a
-// Program — Finish only ever sees successful results. (Failed-object
-// sentinels from the faults package arrive as ordinary values.)
+// error kills the process exactly as it would a Program — Finish only
+// ever sees successful results. (Failed-object sentinels from the
+// faults package arrive as ordinary values.)
 type Machine interface {
 	Pending() MachineOp
 	Finish(result Value) (done bool, decision Value, err error)
@@ -164,43 +159,15 @@ func (r *SnapReader) Value() Value {
 }
 
 // SpawnMachine adds a process driven by the given state machine and
-// returns its ID. The process runs on the direct-dispatch fast path
-// when the whole system is machine-backed (see Run); otherwise — or
-// under Config.ForceGoroutines — it runs as an ordinary Program that
-// drives the machine through Env, with identical semantics.
-func (s *System) SpawnMachine(m Machine) ProcID {
-	id := s.Spawn(machineProgram(m))
-	s.procs[id].machine = m
-	return id
-}
+// returns its ID. The runner calls the machine directly: no goroutine,
+// no channel operation per step.
+func (s *System) SpawnMachine(m Machine) ProcID { return s.spawn(&proc{machine: m}) }
 
-// machineProgram adapts a Machine to the goroutine runner. It stages
-// arguments through the same fixed-arity Env paths protocol code uses,
-// so traces and fingerprints match the hand-written Program form.
-func machineProgram(m Machine) Program {
-	return func(e *Env) (Value, error) {
-		for {
-			op := m.Pending()
-			var v Value
-			switch op.NArgs {
-			case 0:
-				v = e.Apply0(op.Obj, op.Op)
-			case 1:
-				v = e.Apply1(op.Obj, op.Op, op.Args[0])
-			default:
-				v = e.Apply2(op.Obj, op.Op, op.Args[0], op.Args[1])
-			}
-			done, dec, err := m.Finish(v)
-			if done {
-				return dec, err
-			}
-		}
-	}
-}
-
-// machineBacked reports whether every process has a Machine, i.e. the
-// direct-dispatch path can run this system.
-func (s *System) machineBacked() bool {
+// Snapshotable reports whether the system supports in-place
+// backtracking: every process is a Machine and every object is
+// Restorable (wrappers additionally passing RestoreProber). Explorers
+// use this to choose between the in-place DFS and per-probe rebuilds.
+func (s *System) Snapshotable() bool {
 	if len(s.procs) == 0 {
 		return false
 	}
@@ -208,17 +175,6 @@ func (s *System) machineBacked() bool {
 		if p.machine == nil {
 			return false
 		}
-	}
-	return true
-}
-
-// Snapshotable reports whether the system supports in-place
-// backtracking: every process is machine-backed and every object is
-// Restorable (wrappers additionally passing RestoreProber). Explorers
-// use this to choose between the in-place DFS and per-probe rebuilds.
-func (s *System) Snapshotable() bool {
-	if !s.machineBacked() {
-		return false
 	}
 	for _, o := range s.objects {
 		if _, ok := o.(Restorable); !ok {
@@ -231,20 +187,23 @@ func (s *System) Snapshotable() bool {
 	return true
 }
 
-// MachineExec is a live direct-dispatch execution of a machine-backed
-// System. Unlike Run it is re-enterable: explorers alternate
-// Snapshot/Restore with Run episodes to walk an execution tree without
-// ever rebuilding the system. Obtain one with StartMachines.
+// MachineExec is a live execution of a System: the one runner behind
+// System.Run, for Programs and Machines alike. Unlike Run it is
+// re-enterable: explorers alternate Snapshot/Restore with Run episodes
+// to walk an execution tree without ever rebuilding a Snapshotable
+// system. Obtain one with StartMachines.
 type MachineExec struct {
 	sys   *System
 	cfg   Config
 	ready []ProcID
 }
 
-// StartMachines prepares a machine-backed System for direct-dispatch
-// execution under cfg and returns its executor. Like Run it consumes
-// the System's single run; unlike Run it does not execute anything yet.
-// Config.Scratch may be swapped later with SetScratch.
+// StartMachines prepares the System for execution under cfg and
+// returns its executor. Like Run it consumes the System's single run.
+// Every Program starts on its host goroutine and runs up to its first
+// operation, so a caller that starts a system with Programs must Run
+// it to completion, which ends every host goroutine. Config.Scratch
+// may be swapped later with SetScratch.
 func (s *System) StartMachines(cfg Config) (*MachineExec, error) {
 	if s.ran {
 		return nil, errors.New("sim: system already ran")
@@ -252,11 +211,6 @@ func (s *System) StartMachines(cfg Config) (*MachineExec, error) {
 	s.ran = true
 	if len(s.procs) == 0 {
 		return nil, errors.New("sim: no processes")
-	}
-	for _, p := range s.procs {
-		if p.machine == nil {
-			return nil, fmt.Errorf("sim: process %d has no machine", p.id)
-		}
 	}
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = RoundRobin()
@@ -289,16 +243,16 @@ func (s *System) StartMachines(cfg Config) (*MachineExec, error) {
 		}
 	}
 	m := &MachineExec{sys: s, cfg: cfg, ready: make([]ProcID, 0, len(s.procs))}
-	// Arrival: every machine has a first pending op (see Machine), so
-	// all processes start ready, footprint published.
 	for _, p := range s.procs {
-		p.pendingObj = p.machine.Pending().Obj.Name()
+		if p.machine == nil && !s.startHost(p) {
+			continue // returned without a shared step
+		}
 		m.ready = append(m.ready, p.id)
 	}
 	return m, nil
 }
 
-// SetScratch swaps the result/ready scratch for subsequent episodes
+// SetScratch swaps the result scratch for subsequent episodes
 // (explorers retain a Result occasionally and hand the executor a fresh
 // Scratch in its place).
 func (m *MachineExec) SetScratch(sc *Scratch) { m.cfg.Scratch = sc }
@@ -309,38 +263,36 @@ func (m *MachineExec) System() *System { return m.sys }
 
 // Run executes from the current state until the run ends (all
 // processes done, scheduler halt, or step budget) and returns the
-// Result, exactly as System.Run would from that state. After a Restore
-// it can be called again for the next episode.
+// Result. After a Restore it can be called again for the next episode.
 func (m *MachineExec) Run() (*Result, error) {
 	halted, err := m.loop()
 	if err != nil {
 		return nil, err
 	}
-	return m.sys.buildResult(&m.cfg, m.ready, halted, func(id ProcID) {
-		m.sys.machineCrash(id, ErrHalted)
-	}), nil
+	return m.sys.buildResult(&m.cfg, m.ready, halted), nil
 }
 
-// loop is the direct-dispatch twin of System.Run's scheduling loop:
-// same decision order (total-step bound, fault plan, scheduler, per-
-// process bound), same step semantics, no goroutines or channels.
+// loop is the scheduling loop. At each decision point, while some
+// process is ready: the total-step budget, then the fault plan, then
+// the scheduler, then the per-process budget. A run whose last process
+// finishes ends complete before the budget or the fault plan is asked
+// again.
 func (m *MachineExec) loop() (halted bool, err error) {
 	s, cfg := m.sys, &m.cfg
-	for {
+	for len(m.ready) > 0 {
 		if s.steps >= cfg.MaxTotalSteps {
 			return true, nil
 		}
 		if cfg.Faults != nil {
-			crashNow := cfg.Faults.CrashNow(m.ready, s.steps)
-			for _, id := range crashNow {
+			for _, id := range cfg.Faults.CrashNow(m.ready, s.steps) {
 				var ok bool
 				if m.ready, ok = removeReady(m.ready, id); ok {
-					s.machineCrash(id, ErrCrashed)
+					s.kill(s.procs[id], ErrCrashed)
 				}
 			}
-		}
-		if len(m.ready) == 0 {
-			return false, nil
+			if len(m.ready) == 0 {
+				break
+			}
 		}
 		next := cfg.Scheduler.Next(m.ready, s.steps)
 		if next == Halt {
@@ -348,11 +300,16 @@ func (m *MachineExec) loop() (halted bool, err error) {
 		}
 		var inSet bool
 		if m.ready, inSet = removeReady(m.ready, next); !inSet {
-			return false, fmt.Errorf("sim: scheduler chose process %d, not in ready set %v", next, m.ready)
+			err := fmt.Errorf("sim: scheduler chose process %d, not in ready set %v", next, m.ready)
+			for _, id := range m.ready {
+				s.kill(s.procs[id], ErrHalted)
+			}
+			m.ready = m.ready[:0]
+			return false, err
 		}
 		p := s.procs[next]
 		if cfg.MaxStepsPerProc > 0 && p.steps >= cfg.MaxStepsPerProc {
-			s.machineCrash(next, ErrStepLimit)
+			s.kill(p, ErrStepLimit)
 			continue
 		}
 		fin := m.step(p)
@@ -364,58 +321,59 @@ func (m *MachineExec) loop() (halted bool, err error) {
 			m.ready = insertReady(m.ready, p.id)
 		}
 	}
+	return false, nil
 }
 
-// step executes one granted shared-memory step of p, mirroring
-// Env.apply: same argument staging, fault-plan consultation, error
-// wrapping, trace recording and observation folding. It reports whether
-// the process finished (decided, errored, or was killed by an operation
-// error).
+// step executes p's next operation as one granted shared-memory step:
+// argument staging, pending spans, fault-plan consultation, error
+// wrapping, trace recording and observation folding, then the
+// hand-back of the result to the process. It reports whether the
+// process finished (decided, errored, or was killed by a rejected
+// operation).
 func (m *MachineExec) step(p *proc) (finished bool) {
 	s := m.sys
-	op := p.machine.Pending()
+	obj, op, args := p.next()
 	p.steps++
 	idx := s.steps
-	p.lastStep = idx
-	var args []Value
-	if op.NArgs > 0 {
-		p.argbuf[0] = op.Args[0]
-		if op.NArgs > 1 {
-			p.argbuf[1] = op.Args[1]
-		}
-		args = p.argbuf[:op.NArgs]
+	for _, sp := range p.pending {
+		sp.Start = idx
 	}
-	obj := op.Obj
+	p.pending = p.pending[:0]
+	p.lastStep = idx
 	var v Value
 	var err error
+	// Consult the object-fault plan exactly once per step, even when the
+	// target object is not Faultable: the plan may be stateful (a
+	// pending one-shot fault choice) and must see every step. The
+	// Faultable assertion is paid only on the rare steps where a fault
+	// actually fires — fault-free steps go straight to Apply.
 	mode := FaultNone
 	if s.objFaults != nil {
 		mode = s.objFaults.FaultOp(idx)
 	}
 	if mode != FaultNone {
 		if fo, ok := obj.(Faultable); ok {
-			v, err = fo.ApplyFault(p.id, op.Op, args, mode)
+			v, err = fo.ApplyFault(p.id, op, args, mode)
 		} else {
-			v, err = obj.Apply(p.id, op.Op, args)
+			v, err = obj.Apply(p.id, op, args)
 		}
 	} else {
-		v, err = obj.Apply(p.id, op.Op, args)
+		v, err = obj.Apply(p.id, op, args)
 	}
 	if err != nil {
-		err = fmt.Errorf("proc %d: %s.%s: %w", p.id, obj.Name(), op.Op, err)
+		err = fmt.Errorf("proc %d: %s.%s: %w", p.id, obj.Name(), op, err)
 		if s.trace != nil {
-			s.trace.record(idx, p.id, obj.Name(), op.Op, copyArgs(args), err)
+			s.trace.record(idx, p.id, obj.Name(), op, copyArgs(args), err)
 		}
-		p.done = true
-		p.err = err
+		// The object may have mutated before rejecting.
 		if s.fingerprint {
 			s.fpTouchObj(obj.Name())
-			s.fpTouchProc(int(p.id))
 		}
+		s.kill(p, err)
 		return true
 	}
 	if s.trace != nil {
-		s.trace.record(idx, p.id, obj.Name(), op.Op, copyArgs(args), v)
+		s.trace.record(idx, p.id, obj.Name(), op, copyArgs(args), v)
 	}
 	if s.fingerprint {
 		p.foldOp(v)
@@ -427,18 +385,42 @@ func (m *MachineExec) step(p *proc) (finished bool) {
 			s.fpTouchProc(int(p.id))
 		}
 	}
+	if p.machine == nil {
+		// Resume the Program; it parks again at its next operation
+		// (publishing it) or returns.
+		p.host <- v
+		<-p.host
+		return p.done
+	}
 	done, dec, ferr := p.machine.Finish(v)
 	if done {
 		p.done = true
 		p.value, p.err = dec, ferr
-		return true
 	}
-	p.pendingObj = p.machine.Pending().Obj.Name()
-	return false
+	return done
 }
 
-// copyArgs detaches trace-retained arguments from the per-process
-// staging buffer (the machine path always stages there).
+// next returns the operation p's next granted step performs: what a
+// Program published in Env.apply, or a Machine's Pending with its
+// arguments staged in argbuf.
+func (p *proc) next() (Object, OpKind, []Value) {
+	if p.machine == nil {
+		return p.obj, p.op, p.args
+	}
+	op := p.machine.Pending()
+	if op.NArgs == 0 {
+		return op.Obj, op.Op, nil
+	}
+	p.argbuf[0] = op.Args[0]
+	if op.NArgs > 1 {
+		p.argbuf[1] = op.Args[1]
+	}
+	return op.Obj, op.Op, p.argbuf[:op.NArgs]
+}
+
+// copyArgs detaches trace-retained arguments from the caller's buffer:
+// a recorded Event outlives the step, and the fixed-arity paths reuse
+// the per-process staging buffer.
 func copyArgs(args []Value) []Value {
 	if len(args) == 0 {
 		return args
@@ -446,24 +428,29 @@ func copyArgs(args []Value) []Value {
 	return append([]Value(nil), args...)
 }
 
-// machineCrash marks a machine-backed process dead with the given
-// error, producing the same proc state the goroutine runner's
-// crash/crashWith teardown leaves behind.
-func (s *System) machineCrash(id ProcID, err error) {
-	p := s.procs[id]
+// kill ends a ready process with err: a crash (ErrCrashed), halt, step
+// limit or rejected operation. A Program's host goroutine, parked in
+// Env.apply, is unwound and waited for first, so no ending of a run
+// leaves a goroutine behind.
+func (s *System) kill(p *proc, err error) {
+	if p.machine == nil {
+		p.host <- killSignal{}
+		<-p.host
+	}
 	p.done = true
 	p.err = err
 	p.crashed = err == ErrCrashed
 	if s.fingerprint {
-		s.fpTouchProc(int(id))
+		s.fpTouchProc(int(p.id))
 	}
 }
 
 // Snapshot appends the full mutable state of the execution — global
 // step count, every process (counters, status, observation hashes,
 // decision, machine-local state) and every object — to the arena.
-// It must be taken at a decision point (between steps). The caller
-// records sn.Len() beforehand to address the snapshot later.
+// It needs a Snapshotable system and must be taken at a decision point
+// (between steps). The caller records sn.Len() beforehand to address
+// the snapshot later.
 func (m *MachineExec) Snapshot(sn *Snap) {
 	s := m.sys
 	sn.Int(s.steps)
@@ -488,7 +475,7 @@ func (m *MachineExec) Snapshot(sn *Snap) {
 }
 
 // Restore rewinds the execution to a snapshot taken by Snapshot,
-// rebuilding the ready set and pending footprints. The snapshot stays
+// rebuilding the ready set. The snapshot stays
 // valid (reads do not consume the arena), so one snapshot can be
 // restored many times — the core of in-place backtracking.
 func (m *MachineExec) Restore(r SnapReader) {
@@ -512,7 +499,6 @@ func (m *MachineExec) Restore(r SnapReader) {
 		p.machine.Restore(&r)
 		if !p.done {
 			m.ready = append(m.ready, p.id)
-			p.pendingObj = p.machine.Pending().Obj.Name()
 		}
 	}
 	for _, name := range s.sortedNames() {

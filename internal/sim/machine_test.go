@@ -2,9 +2,12 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/objects"
+	"repro/internal/registers"
 	"repro/internal/sim"
 )
 
@@ -83,39 +86,70 @@ func sameResult(t *testing.T, label string, a, b *sim.Result) {
 	}
 }
 
-// TestMachineRunMatchesGoroutine drives the same machine-backed system
-// through the direct-dispatch path and (via ForceGoroutines) the
-// goroutine runner, and against the hand-written Program twin, under
-// several schedules and fault plans. All three must agree on every
+// casLoopMixed is casLoop with process 0 a Program and process 1 a
+// Machine: both kinds of process on the one runner in one run.
+func casLoopMixed(rounds int) *sim.System {
+	sys := sim.NewSystem()
+	cas := objects.NewCAS("c", 4)
+	sys.Add(cas)
+	sys.Spawn(func(e *sim.Env) (sim.Value, error) {
+		for r := 0; r < rounds; r++ {
+			e.Apply2(cas, objects.OpCAS, objects.Bottom, objects.Symbol(1))
+			e.Apply0(cas, sim.OpRead)
+		}
+		return 0, nil
+	})
+	sys.SpawnMachine(&casLoopMachine{cas: cas, id: 1, rounds: rounds})
+	return sys
+}
+
+// TestMachineRunMatchesGoroutine runs the same protocol as Machines,
+// as hand-written Programs, and as a mix of the two, under several
+// schedules, fault plans and budgets. All three must agree on every
 // observable field including the state fingerprint.
 func TestMachineRunMatchesGoroutine(t *testing.T) {
 	cases := []struct {
 		name  string
 		sched func() sim.Scheduler
-		plan  func() sim.FaultPlan
+		plan  func(t *testing.T) sim.FaultPlan
 		limit int
+		// total is MaxTotalSteps; every row that sets it sets the run's
+		// exact length, so the run must still end complete.
+		total int
 	}{
 		{name: "roundrobin", sched: func() sim.Scheduler { return &rrSched{} }},
 		{name: "random", sched: func() sim.Scheduler { return sim.Random(42) }},
 		{name: "crash", sched: func() sim.Scheduler { return &rrSched{} },
-			plan: func() sim.FaultPlan { return sim.CrashAt(map[int][]sim.ProcID{3: {0}}) }},
+			plan: func(*testing.T) sim.FaultPlan { return sim.CrashAt(map[int][]sim.ProcID{3: {0}}) }},
 		{name: "steplimit", sched: func() sim.Scheduler { return &rrSched{} }, limit: 5},
 		{name: "halt", sched: func() sim.Scheduler {
 			return sim.Replay([]sim.ProcID{0, 1, 0, 1, 0})
 		}},
+		// 2 processes × 6 rounds × 2 operations = 24 steps.
+		{name: "exact-total-budget", sched: func() sim.Scheduler { return &rrSched{} }, total: 24},
+		// A completed run ends before the fault plan is asked again.
+		{name: "no-empty-crash-query", sched: func() sim.Scheduler { return sim.Random(7) },
+			plan: func(t *testing.T) sim.FaultPlan {
+				return sim.FaultPlanFunc(func(ready []sim.ProcID, step int) []sim.ProcID {
+					if len(ready) == 0 {
+						t.Errorf("CrashNow called with an empty ready set at step %d", step)
+					}
+					return nil
+				})
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(sys *sim.System, force bool) *sim.Result {
+			run := func(sys *sim.System) *sim.Result {
 				cfg := sim.Config{
 					Scheduler:       tc.sched(),
 					Fingerprint:     true,
 					DisableTrace:    true,
 					MaxStepsPerProc: tc.limit,
-					ForceGoroutines: force,
+					MaxTotalSteps:   tc.total,
 				}
 				if tc.plan != nil {
-					cfg.Faults = tc.plan()
+					cfg.Faults = tc.plan(t)
 				}
 				res, err := sys.Run(cfg)
 				if err != nil {
@@ -123,11 +157,71 @@ func TestMachineRunMatchesGoroutine(t *testing.T) {
 				}
 				return res
 			}
-			direct := run(casLoopMachines(6), false)
-			forced := run(casLoopMachines(6), true)
-			program := run(casLoop(6), true)
-			sameResult(t, "direct vs forced-goroutine", direct, forced)
-			sameResult(t, "direct vs program", direct, program)
+			machines := run(casLoopMachines(6))
+			programs := run(casLoop(6))
+			mixed := run(casLoopMixed(6))
+			sameResult(t, "machines vs programs", machines, programs)
+			sameResult(t, "machines vs mixed", machines, mixed)
+			if tc.total > 0 && machines.Halted {
+				t.Fatalf("run of exactly MaxTotalSteps=%d steps reported halted (ready %v)",
+					tc.total, machines.ReadyAtHalt)
+			}
+		})
+	}
+}
+
+// TestProgramRunsLeaveNoGoroutines ends Program runs every way a run
+// can end and checks that each one unwinds every host goroutine.
+func TestProgramRunsLeaveNoGoroutines(t *testing.T) {
+	ownerViolation := func() *sim.System {
+		sys := sim.NewSystem()
+		reg := registers.NewSWMR("r", 0, nil)
+		sys.Add(reg)
+		sys.SpawnN(3, func(id sim.ProcID) sim.Program {
+			return func(e *sim.Env) (sim.Value, error) {
+				reg.Write(e, int(id)) // only process 0 owns r
+				reg.Read(e)
+				return int(id), nil
+			}
+		})
+		return sys
+	}
+	cases := []struct {
+		name    string
+		build   func() *sim.System
+		cfg     sim.Config
+		wantErr bool
+	}{
+		{name: "complete", build: func() *sim.System { return casLoop(6) }},
+		{name: "halt", build: func() *sim.System { return casLoop(6) },
+			cfg: sim.Config{Scheduler: sim.Replay([]sim.ProcID{0, 1, 0})}},
+		{name: "crash", build: func() *sim.System { return casLoop(6) },
+			cfg: sim.Config{Faults: sim.CrashAt(map[int][]sim.ProcID{3: {0, 1}})}},
+		{name: "steplimit", build: func() *sim.System { return casLoop(6) },
+			cfg: sim.Config{MaxStepsPerProc: 5}},
+		{name: "total-budget", build: func() *sim.System { return casLoop(6) },
+			cfg: sim.Config{MaxTotalSteps: 7}},
+		{name: "rejected-op", build: ownerViolation},
+		{name: "scheduler-misuse", build: func() *sim.System { return casLoop(6) },
+			cfg:     sim.Config{Scheduler: sim.SchedulerFunc(func([]sim.ProcID, int) sim.ProcID { return 7 })},
+			wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			_, err := tc.build().Run(tc.cfg)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Run error = %v, want error: %v", err, tc.wantErr)
+			}
+			// A host goroutine signals the runner just before it returns,
+			// so give the scheduler a moment to retire it.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		})
 	}
 }

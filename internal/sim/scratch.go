@@ -21,7 +21,6 @@ type Scratch struct {
 	errors  []error
 	crashed []bool
 	steps   []int
-	ready   []ProcID
 	halt    []ProcID
 	perm    []uint64
 	fpwords []uint64
@@ -53,14 +52,6 @@ func (sc *Scratch) prep(n int) *Result {
 		Steps:   sc.steps,
 	}
 	return &sc.res
-}
-
-// readyBuf returns a zero-length ready-set buffer with capacity ≥ n.
-func (sc *Scratch) readyBuf(n int) []ProcID {
-	if cap(sc.ready) < n {
-		sc.ready = make([]ProcID, 0, n)
-	}
-	return sc.ready[:0]
 }
 
 // permBuf returns a length-n buffer backing the per-permutation

@@ -5,13 +5,16 @@
 //
 // A System hosts a set of shared objects (registers, compare&swap
 // registers, and any other type implementing Object) and a set of
-// processes. Each process is an ordinary Go function running in its own
-// goroutine, but every shared-memory operation is funneled through a
-// scheduler gate: the process blocks until the scheduler grants it a
-// step, performs exactly one atomic operation, then runs its local code
-// until the next shared operation. The runner and the processes
-// alternate in strict lockstep, so a run is fully determined by the
-// Scheduler's choices — the same seed always yields the same trace.
+// processes. A process is either a Program — an ordinary Go function
+// on its own host goroutine, which parks in its Env at every shared
+// operation — or a Machine, a resumable state machine that names its
+// next operation as data. One runner (MachineExec) serves both: at
+// each decision point it asks the Scheduler for a ready process and
+// executes that process's pending operation as exactly one atomic
+// step, then lets the process run its local code up to its next
+// operation. Runner and processes alternate in strict lockstep, so a
+// run is fully determined by the Scheduler's choices — the same seed
+// always yields the same trace.
 //
 // The model is the standard asynchronous one: processes may be
 // arbitrarily slow (the scheduler may starve them) and may fail by
@@ -33,10 +36,10 @@ type ProcID int
 // operations. Protocols use small ints and immutable composites.
 type Value = any
 
-// Program is the code of one process. It runs in its own goroutine and
-// must perform all shared-memory interaction through the Env. The
-// returned Value is the process's decision (its output in a decision
-// task); returning an error marks the process as failed.
+// Program is the code of one process. It runs on its own host
+// goroutine and must perform all shared-memory interaction through the
+// Env. The returned Value is the process's decision (its output in a
+// decision task); returning an error marks the process as failed.
 //
 // Programs must be deterministic and must not communicate with each
 // other except through shared objects.
@@ -54,19 +57,11 @@ var ErrStepLimit = errors.New("sim: per-process step limit exceeded")
 // scheduler halted the run.
 var ErrHalted = errors.New("sim: run halted by scheduler")
 
-// errCrashSignal is the panic payload used to unwind a crashed process.
-type errCrashSignal struct{}
-
-// opError unwinds a process whose operation was rejected by an object
-// (for example a non-owner writing a single-writer register).
-type opError struct{ err error }
-
 // System is a single-use simulated shared-memory machine. Configure it
 // with objects and processes, then call Run exactly once.
 type System struct {
 	objects map[string]Object
 	procs   []*proc
-	events  chan procEvent
 	trace   *Trace
 	steps   int
 	ran     bool
@@ -81,7 +76,7 @@ type System struct {
 	fp       fpState
 	verifyFP bool
 	scratch  *Scratch
-	// objFaults is Config.ObjectFaults, consulted by Env.Apply.
+	// objFaults is Config.ObjectFaults, consulted once per step.
 	objFaults ObjectFaultPlan
 	// symmetry is the protocol's declared process-symmetry spec (see
 	// DeclareSymmetry); canon is the validated Canonicalizer installed
@@ -92,13 +87,18 @@ type System struct {
 }
 
 type proc struct {
-	id      ProcID
+	id ProcID
+	// Exactly one of program and machine is set. A Program talks to the
+	// runner over host (see Env.apply); a Machine is called directly.
 	program Program
-	// machine is non-nil for processes added with SpawnMachine; when
-	// every process has one, Run takes the direct-dispatch fast path
-	// (see machine.go) unless Config.ForceGoroutines is set.
 	machine Machine
-	grant   chan struct{}
+	host    chan Value
+	// obj, op and args are the operation a Program's next granted step
+	// performs, published by Env.apply just before it parks (a
+	// Machine's is its Pending; see proc.next).
+	obj     Object
+	op      OpKind
+	args    []Value
 	steps   int
 	value   Value
 	err     error
@@ -115,26 +115,18 @@ type proc struct {
 	// under the canonicalizer's permutation k (identity elided — it
 	// provably equals opHash). Maintained only when Config.Canon is set.
 	permHash []uint64
-	// pendingObj is the name of the object this process's NEXT granted
-	// step operates on, published just before the process parks at the
-	// scheduler gate. See System.PendingObject.
-	pendingObj string
 	// spans are the high-level operation spans this process opened;
 	// pending are those whose start index is not yet known (no shared
 	// step since BeginOp).
 	spans   []*Span
 	pending []*Span
-	// env is this process's Env handle, embedded so runProc does not
-	// allocate one per process per run.
+	// env is this process's Env handle, embedded so starting a Program
+	// does not allocate one per process per run.
 	env Env
-	// argbuf backs the fixed-arity Apply0/1/2 fast paths, so common
-	// operations need no per-call argument slice.
+	// argbuf backs the fixed-arity Apply0/1/2 fast paths and a Machine's
+	// staged arguments, so common operations need no per-call argument
+	// slice.
 	argbuf [3]Value
-}
-
-type procEvent struct {
-	id       ProcID
-	finished bool
 }
 
 // NewSystem returns an empty system.
@@ -162,16 +154,14 @@ func (s *System) Object(name string) Object {
 }
 
 // Spawn adds a process running the given program and returns its ID.
-func (s *System) Spawn(p Program) ProcID {
-	id := ProcID(len(s.procs))
-	s.procs = append(s.procs, &proc{
-		id:       id,
-		program:  p,
-		grant:    make(chan struct{}),
-		lastStep: -1,
-		opHash:   fnvOffset64,
-	})
-	return id
+func (s *System) Spawn(p Program) ProcID { return s.spawn(&proc{program: p}) }
+
+func (s *System) spawn(p *proc) ProcID {
+	p.id = ProcID(len(s.procs))
+	p.lastStep = -1
+	p.opHash = fnvOffset64
+	s.procs = append(s.procs, p)
+	return p.id
 }
 
 // SpawnN adds n processes whose programs are produced by f(id).
@@ -216,18 +206,13 @@ type Config struct {
 	// panicking on divergence. Debug mode: it restores the O(state)
 	// (× |G| for canon) per-probe cost the incremental scheme removes.
 	VerifyFingerprints bool
-	// ForceGoroutines disables the direct-dispatch fast path for fully
-	// machine-backed systems, running them through the goroutine runner
-	// instead. The two paths are semantically identical; this exists for
-	// cross-checking and benchmarks.
-	ForceGoroutines bool
 	// OnStep, if set, is called from the runner goroutine after each
 	// granted shared-memory step with the cumulative step count. It is
 	// the progress-heartbeat hook for exploration supervisors; it must
 	// not block and must not touch the System.
 	OnStep func(step int)
 	// Scratch, if set, supplies reusable buffers for the Result and the
-	// runner's ready set, eliminating per-run allocations in tight
+	// fingerprint caches, eliminating per-run allocations in tight
 	// exploration loops. The returned Result aliases the Scratch; see
 	// the Scratch ownership contract.
 	Scratch *Scratch
@@ -302,143 +287,22 @@ func (r *Result) DistinctDecisions() []Value {
 }
 
 // Run executes the system to completion under cfg and returns the
-// result. A System can be run only once; rebuild it (deterministically)
-// to replay. Run returns an error only on misuse (no processes, second
-// run, or an invalid scheduler choice); protocol-level failures are
-// reported per process inside the Result.
+// result: StartMachines followed by MachineExec.Run. A System can be
+// run only once; rebuild it (deterministically) to replay. Run returns
+// an error only on misuse (no processes, second run, or an invalid
+// scheduler choice); protocol-level failures are reported per process
+// inside the Result.
 func (s *System) Run(cfg Config) (*Result, error) {
-	if !cfg.ForceGoroutines && s.machineBacked() && !s.ran {
-		// Direct-dispatch fast path: every process is a state machine,
-		// so the run needs no goroutines or channels at all.
-		m, err := s.StartMachines(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return m.Run()
+	m, err := s.StartMachines(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if s.ran {
-		return nil, errors.New("sim: system already ran")
-	}
-	s.ran = true
-	if len(s.procs) == 0 {
-		return nil, errors.New("sim: no processes")
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = RoundRobin()
-	}
-	if cfg.MaxTotalSteps == 0 {
-		cfg.MaxTotalSteps = DefaultMaxTotalSteps
-	}
-	if cfg.DisableTrace {
-		s.trace = nil
-	}
-	s.fingerprint = cfg.Fingerprint
-	s.verifyFP = cfg.VerifyFingerprints
-	s.scratch = cfg.Scratch
-	s.objFaults = cfg.ObjectFaults
-	if cfg.Canon != nil && cfg.Fingerprint {
-		s.canon = cfg.Canon
-		if np := cfg.Canon.NumPerms() - 1; np > 0 {
-			var buf []uint64
-			if cfg.Scratch != nil {
-				buf = cfg.Scratch.permBuf(np * len(s.procs))
-			} else {
-				buf = make([]uint64, np*len(s.procs))
-			}
-			for i := range buf {
-				buf[i] = fnvOffset64
-			}
-			for i, p := range s.procs {
-				p.permHash = buf[i*np : (i+1)*np : (i+1)*np]
-			}
-		}
-	}
-
-	s.events = make(chan procEvent)
-	for _, p := range s.procs {
-		go s.runProc(p)
-	}
-	// The ready set is a sorted slice maintained in place (insertion on
-	// step completion, removal on grant/crash). Schedulers and fault
-	// plans see the live slice — it is reused between calls and must
-	// not be retained. Slices stay tiny (≤ NumProcs), so ordered
-	// insertion beats the old map + sort-per-decision by a wide margin
-	// and allocates nothing after warm-up.
-	var ready []ProcID
-	if cfg.Scratch != nil {
-		ready = cfg.Scratch.readyBuf(len(s.procs))
-	} else {
-		ready = make([]ProcID, 0, len(s.procs))
-	}
-	// Wait for every process to arrive at its first gate (or finish
-	// without taking any shared step).
-	pending := len(s.procs)
-	for pending > 0 {
-		ev := <-s.events
-		pending--
-		if !ev.finished {
-			ready = insertReady(ready, ev.id)
-		}
-	}
-
-	halted := false
-	for len(ready) > 0 {
-		if s.steps >= cfg.MaxTotalSteps {
-			halted = true
-			break
-		}
-		if cfg.Faults != nil {
-			crashNow := cfg.Faults.CrashNow(ready, s.steps)
-			for _, id := range crashNow {
-				var ok bool
-				if ready, ok = removeReady(ready, id); ok {
-					s.crash(id)
-				}
-			}
-			if len(ready) == 0 {
-				break
-			}
-		}
-		next := cfg.Scheduler.Next(ready, s.steps)
-		if next == Halt {
-			halted = true
-			break
-		}
-		var inSet bool
-		if ready, inSet = removeReady(ready, next); !inSet {
-			s.abort(ready)
-			return nil, fmt.Errorf("sim: scheduler chose process %d, not in ready set %v", next, ready)
-		}
-		p := s.procs[next]
-		if cfg.MaxStepsPerProc > 0 && p.steps >= cfg.MaxStepsPerProc {
-			s.crashWith(next, ErrStepLimit)
-			continue
-		}
-		p.grant <- struct{}{}
-		ev := <-s.events
-		s.steps++
-		if cfg.OnStep != nil {
-			cfg.OnStep(s.steps)
-		}
-		if !ev.finished {
-			ready = insertReady(ready, ev.id)
-		} else if s.fingerprint {
-			// The process's status component changed (done/value/err set
-			// by runProc after its last operation's fold).
-			s.fpTouchProc(int(ev.id))
-		}
-	}
-
-	return s.buildResult(&cfg, ready, halted, func(id ProcID) {
-		s.crashWith(id, ErrHalted)
-	}), nil
+	return m.Run()
 }
 
-// buildResult assembles the Result after a run's scheduling loop ends.
-// halt tears down one still-ready process with ErrHalted; it differs
-// between the goroutine runner (gate teardown) and the machine runner
-// (direct marking), which otherwise share this tail verbatim.
-func (s *System) buildResult(cfg *Config, ready []ProcID, halted bool, halt func(ProcID)) *Result {
+// buildResult assembles the Result after a run's scheduling loop ends,
+// killing every still-ready process with ErrHalted if the run halted.
+func (s *System) buildResult(cfg *Config, ready []ProcID, halted bool) *Result {
 	var res *Result
 	if cfg.Scratch != nil {
 		res = cfg.Scratch.prep(len(s.procs))
@@ -460,7 +324,7 @@ func (s *System) buildResult(cfg *Config, ready []ProcID, halted bool, halt func
 			res.ReadyAtHalt = append([]ProcID(nil), ready...)
 		}
 		for _, id := range ready {
-			halt(id)
+			s.kill(s.procs[id], ErrHalted)
 		}
 	}
 	res.Fingerprint, res.FingerprintOK = s.StateHash()
@@ -480,55 +344,6 @@ func (s *System) buildResult(cfg *Config, ready []ProcID, halted bool, halt func
 		}
 	}
 	return res
-}
-
-// runProc is the goroutine wrapper for one process.
-func (s *System) runProc(p *proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case errCrashSignal:
-				p.crashed = true
-				p.err = ErrCrashed
-			case opError:
-				p.err = e.err
-			default:
-				panic(r) // real bug in protocol code: do not mask it
-			}
-		}
-		p.done = true
-		s.events <- procEvent{id: p.id, finished: true}
-	}()
-	p.env = Env{sys: s, proc: p}
-	v, err := p.program(&p.env)
-	p.value, p.err = v, err
-}
-
-// crash tears down a process parked at its gate and waits for its
-// finish event so the runner stays in lockstep.
-func (s *System) crash(id ProcID) {
-	p := s.procs[id]
-	close(p.grant)
-	<-s.events // the finish event of p
-	if s.fingerprint {
-		s.fpTouchProc(int(id))
-	}
-}
-
-// crashWith is crash with a specific recorded error.
-func (s *System) crashWith(id ProcID, err error) {
-	s.crash(id)
-	p := s.procs[id]
-	p.err = err
-	p.crashed = err == ErrCrashed
-}
-
-// abort crashes every remaining ready process (used on misuse errors so
-// goroutines do not leak).
-func (s *System) abort(ready []ProcID) {
-	for _, id := range ready {
-		s.crash(id)
-	}
 }
 
 // insertReady inserts id into the sorted ready slice. Ready sets have

@@ -134,11 +134,17 @@ func (s *System) SymmetrySpec() *Symmetry { return s.symmetry }
 
 // PendingObject returns the name of the object that process id's next
 // granted step will operate on. Valid only for processes currently
-// parked at the scheduler gate (every process in the ready set); the
-// runner may call it from inside Scheduler.Next. This is the static
-// footprint the explore package's independence pruning keys on: steps
-// of distinct processes pending on distinct objects commute.
-func (s *System) PendingObject(id ProcID) string { return s.procs[id].pendingObj }
+// parked at their next operation (every process in the ready set), so
+// call it from inside Scheduler.Next. This is the static footprint the
+// explore package's independence pruning keys on: steps of distinct
+// processes pending on distinct objects commute.
+func (s *System) PendingObject(id ProcID) string {
+	p := s.procs[id]
+	if p.machine != nil {
+		return p.machine.Pending().Obj.Name()
+	}
+	return p.obj.Name()
+}
 
 // Canonicalizer is the precomputed machinery that folds a System's
 // global state under every permutation of its symmetry group. It is

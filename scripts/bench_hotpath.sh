@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # Runs the simulator hot-path benchmarks (internal/sim BenchmarkSimStep:
 # per-step cost with fingerprinting off/on, plus the allocs/op guard)
-# and distills them into BENCH_hotpath.json at the repo root. The
-# goroutine runner and the direct-dispatch machine runner land side by
-# side — the "machine,fingerprint=..." rows against their unprefixed
-# goroutine twins — so the recorded file IS the tentpole's ns/step
-# speedup evidence. Each record carries the host's CPU count: per-step
-# numbers are meaningful on any box, but parallel-speedup expectations
-# are not portable off multi-core hosts.
+# and distills them into BENCH_hotpath.json at the repo root. Both kinds
+# of process run on the one runner and land side by side: the
+# unprefixed rows step Programs (each step hands the result to the
+# Program's host goroutine over a channel), the
+# "machine,fingerprint=..." rows step Machines (a plain call), so the
+# file records what the Machine form saves per step. Each record
+# carries the host's CPU count: per-step numbers are meaningful on any
+# box, but parallel-speedup expectations are not portable off
+# multi-core hosts.
 #
 #   scripts/bench_hotpath.sh [--force] [benchtime]     # default 100x
 set -eu

@@ -12,6 +12,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l (tracked Go files)"
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+	echo "verify: FAIL — gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
@@ -35,28 +43,8 @@ go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefus
 echo "== reduction smoke: reduced census must match unreduced bit-for-bit (fast tier)"
 go test -count=1 -run 'TestReducedCensusMatchesUnreduced' ./internal/explore/
 
-echo "== machine-engine census smoke: direct dispatch vs -goroutines must agree byte for byte"
-mjson="$(mktemp)"
-gjson="$(mktemp)"
-go run ./cmd/explore -protocol cas -k 4 -n 2 -crashes 1 -prune -symmetry \
-	-workers 1 -bivalence=false -json > "$mjson"
-go run ./cmd/explore -protocol cas -k 4 -n 2 -crashes 1 -prune -symmetry \
-	-workers 1 -bivalence=false -json -goroutines > "$gjson"
-if ! cmp -s "$mjson" "$gjson"; then
-	echo "verify: FAIL — machine-engine census differs from the goroutine engine:" >&2
-	diff "$mjson" "$gjson" >&2 || true
-	exit 1
-fi
-go run ./cmd/explore -protocol swap -n 3 -crashes 1 -symmetry \
-	-workers 1 -bivalence=false -json > "$mjson"
-go run ./cmd/explore -protocol swap -n 3 -crashes 1 -symmetry \
-	-workers 1 -bivalence=false -json -goroutines > "$gjson"
-if ! cmp -s "$mjson" "$gjson"; then
-	echo "verify: FAIL — swap-witness machine census differs from the goroutine engine:" >&2
-	diff "$mjson" "$gjson" >&2 || true
-	exit 1
-fi
-rm -f "$mjson" "$gjson"
+echo "== machine census oracle: in-place DFS censuses must match censuses folded from the replay walker"
+go test -count=1 -run 'TestMachineCensusMatchesGoroutine' ./internal/explore/
 
 echo "== pooled census smoke: an unpruned census on two workers must match one worker byte for byte, violation schedules included"
 w1json="$(mktemp)"
