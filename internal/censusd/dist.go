@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -17,24 +18,20 @@ import (
 // Coordinator side of the distributed census. A job that starts while
 // remote workers are live is run as a distJob: its frontier roots are
 // leased out over the /dist API, delivered summaries are merged in DFS
-// root order (bit-identical to a local run), and the lease state
-// machine below handles every failure the chaos harness throws at it.
-//
-// Lease state machine, per root:
+// root order (bit-identical to a local run), and the root ledger
+// (explore.Ledger) settles every failure the chaos harness throws at
+// it. A lease is a ledger claim whose deadline heartbeats renew; the
+// coordinator's own fallback claims have none and never expire.
 //
 //	pending --lease--> leased --result(gen ok)--> resolved
 //	   ^                  |
 //	   |   expiry/err     |  (generation++ on every requeue)
 //	   +------------------+
 //
-// A root's generation is bumped each time it is requeued, so a result
-// delivered under a superseded generation — a worker killed mid-lease
-// and resurrected after the root was reassigned — is rejected as
-// stale (409) and never merged. Deliveries for an already-resolved
-// root under the resolving generation are duplicates, dropped
-// idempotently. Requeues are attempt-bounded; a root that exhausts the
-// budget becomes a RootFailure (coverage deficit), like a poisoned
-// root under the local supervisor.
+// A result under a superseded generation — a worker killed mid-lease and
+// resurrected after the root was reassigned — is stale (409) and never
+// merged; a repeated delivery is a duplicate. A root past its attempt
+// budget becomes a RootFailure (coverage deficit).
 
 // distDefaultTTL is the default lease duration.
 const distDefaultTTL = 10 * time.Second
@@ -47,34 +44,19 @@ const distDefaultPoll = 500 * time.Millisecond
 // supervisor's budget: losing a worker is routine, not pathological.
 const distDefaultMaxAttempts = 6
 
-// distLease is one outstanding lease.
-type distLease struct {
-	worker  string
-	gen     int
-	expires time.Time
-	// local marks the coordinator's own fallback claim; local claims
-	// do not heartbeat and are exempt from expiry.
-	local bool
-}
-
-// distJob is the lease-scheduling state of one distributed job.
+// distJob drives one distributed job's ledger. It keeps the delivered
+// summaries and its counters; the ledger keeps everything else.
 type distJob struct {
-	id          string
-	plan        *explore.DistPlan
-	req         json.RawMessage
-	ttl         time.Duration
-	maxAttempts int
-	prog        *progress
-	logf        func(format string, args ...any)
+	id   string
+	plan *explore.DistPlan
+	req  json.RawMessage
+	ttl  time.Duration
+	prog *progress
+	logf func(format string, args ...any)
 
 	mu       sync.Mutex
-	closed   bool // winding down: grant nothing, revoke everything
-	pending  []int
-	gen      map[int]int
-	leases   map[int]*distLease
+	ledger   *explore.Ledger
 	resolved map[int]explore.RootSummary
-	failed   map[int]explore.RootFailure
-	attempts map[int]int
 
 	staleResults int64
 	dupResults   int64
@@ -90,139 +72,114 @@ type distJob struct {
 func newDistJob(id string, plan *explore.DistPlan, req json.RawMessage, resumed map[int]explore.RootSummary,
 	ttl time.Duration, maxAttempts int, prog *progress, logf func(string, ...any)) *distJob {
 	d := &distJob{
-		id: id, plan: plan, req: req, ttl: ttl, maxAttempts: maxAttempts,
-		prog: prog, logf: logf,
-		gen:      make(map[int]int),
-		leases:   make(map[int]*distLease),
+		id: id, plan: plan, req: req, ttl: ttl, prog: prog, logf: logf,
+		ledger:   explore.NewLedger(maxAttempts),
 		resolved: make(map[int]explore.RootSummary),
-		failed:   make(map[int]explore.RootFailure),
-		attempts: make(map[int]int),
 		done:     make(chan struct{}),
 	}
 	for _, root := range plan.Roots() {
 		if r, ok := resumed[root]; ok {
 			d.resolved[root] = r
-			continue
+		} else {
+			d.ledger.Open(root, plan.Prefix(root))
 		}
-		d.gen[root] = 1
-		d.pending = append(d.pending, root)
 	}
-	d.mu.Lock()
-	d.maybeDoneLocked()
-	d.mu.Unlock()
+	d.stepped(nil) // every root resumed: done already
 	return d
 }
 
-// maybeDoneLocked closes done once every root is resolved or failed.
-func (d *distJob) maybeDoneLocked() {
-	if len(d.pending) == 0 && len(d.leases) == 0 {
+// stepped reports ledger events to the job's progress, counters and log,
+// and closes done once every root is resolved or failed. Callers hold
+// d.mu.
+func (d *distJob) stepped(evs []explore.Event) {
+	for _, e := range evs {
+		switch e.Kind {
+		case explore.EventRetry, explore.EventRequeue:
+			d.requeues++
+		case explore.EventFailed:
+			d.logf("job %s root %d: abandoned after %d attempts: %s", d.id, e.Root, e.Attempt, e.Err)
+		}
+		d.prog.observe(e)
+	}
+	if d.ledger.Finished() {
 		d.doneOnce.Do(func() { close(d.done) })
 	}
 }
 
-// close stops the job: no more leases, every outstanding heartbeat and
-// delivery answered gone/stale from here on.
+// close stops the job: no more leases, and every heartbeat is gone.
 func (d *distJob) close() {
 	d.mu.Lock()
-	d.closed = true
+	d.ledger.Close()
 	d.mu.Unlock()
 }
 
 // lease grants the next pending root to worker (nil: nothing to grant).
+// A local lease, the coordinator's own, never expires.
 func (d *distJob) lease(worker string, now time.Time, local bool) *distcensus.Lease {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed || len(d.pending) == 0 {
+	var deadline int64
+	if !local {
+		deadline = now.Add(d.ttl).UnixNano()
+	}
+	c, ev, ok := d.ledger.Claim(worker, deadline)
+	if !ok {
 		return nil
 	}
-	root := d.pending[0]
-	d.pending = d.pending[1:]
-	g := d.gen[root]
-	exp := now.Add(d.ttl)
-	if local {
-		exp = now.Add(24 * time.Hour)
-	}
-	d.leases[root] = &distLease{worker: worker, gen: g, expires: exp, local: local}
-	d.attempts[root]++
-	d.prog.observe(explore.Event{Kind: explore.EventClaim, Root: root, Attempt: d.attempts[root]})
+	d.stepped(ev)
 	return &distcensus.Lease{
-		JobID: d.id, Root: root, Generation: g,
-		Prefix: d.plan.Prefix(root), Request: d.req,
+		JobID: d.id, Root: c.Root, Generation: c.Gen,
+		Prefix: c.Prefix, Request: d.req,
 		OptionsFP: d.plan.OptionsFingerprint(),
 		TTLMillis: int(d.ttl / time.Millisecond),
 	}
 }
 
-// heartbeat renews a lease; false means it is gone (expired+requeued,
-// resolved, or the job is winding down) and the worker should abandon
-// the attempt.
+// heartbeat renews a lease; false means it is gone (requeued, resolved,
+// or the job is closing) and the worker should abandon the attempt.
 func (d *distJob) heartbeat(root, gen int, now time.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	l := d.leases[root]
-	if d.closed || l == nil || l.gen != gen {
-		return false
-	}
-	l.expires = now.Add(d.ttl)
-	return true
+	return d.ledger.Beat(d.ledger.Entry(root), gen, now.Add(d.ttl).UnixNano())
 }
 
-// deliver applies one result delivery and returns the verdict
-// (ResultAccepted / ResultDuplicate / ResultStale).
+// deliver applies one result delivery and returns the verdict. An error
+// delivery fails the attempt; the root is requeued within its budget.
 func (d *distJob) deliver(worker string, root, gen int, sum explore.RootSummary, errStr string, local bool) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cur, known := d.gen[root]
-	if !known || gen != cur {
+	e := d.ledger.Entry(root)
+	var v explore.Verdict
+	var ev []explore.Event
+	if errStr != "" {
+		if v, ev = d.ledger.Fail(e, gen, fmt.Sprintf("worker %s: %s", worker, errStr)); v == explore.VerdictAccepted {
+			d.ledger.Requeue(e)
+		}
+	} else {
+		v, ev = d.ledger.Deliver(e, gen)
+	}
+	switch v {
+	case explore.VerdictStale:
 		// The generation guard: this attempt was superseded while the
 		// deliverer was dead or partitioned. Counting it would
 		// double-count the root (its current attempt merges too).
 		d.staleResults++
-		d.logf("job %s root %d: stale result from %s (gen %d, current %d); rejected", d.id, root, worker, gen, cur)
+		d.logf("job %s root %d: stale result from %s (gen %d); rejected", d.id, root, worker, gen)
 		return distcensus.ResultStale
-	}
-	if _, ok := d.resolved[root]; ok {
+	case explore.VerdictDuplicate:
 		d.dupResults++
 		return distcensus.ResultDuplicate
 	}
-	if _, ok := d.failed[root]; ok {
-		d.dupResults++
-		return distcensus.ResultDuplicate
-	}
-	delete(d.leases, root)
-	if errStr != "" {
-		d.requeueLocked(root, fmt.Sprintf("worker %s: %s", worker, errStr))
-		d.maybeDoneLocked()
-		return distcensus.ResultAccepted
-	}
-	d.resolved[root] = sum
-	if local {
-		d.localRoots++
-	} else {
-		d.remoteRoots++
-	}
-	d.prog.observe(explore.Event{Kind: explore.EventResolved, Root: root})
-	d.maybeDoneLocked()
-	return distcensus.ResultAccepted
-}
-
-// requeueLocked records a failed attempt: bump the generation (late
-// results of the old attempt become stale) and either requeue the root
-// or, past the attempt budget, write it off as a RootFailure.
-func (d *distJob) requeueLocked(root int, why string) {
-	if d.attempts[root] >= d.maxAttempts {
-		d.failed[root] = explore.RootFailure{
-			Prefix: d.plan.Prefix(root), Attempts: d.attempts[root], Err: why,
+	if errStr == "" {
+		d.resolved[root] = sum
+		if local {
+			d.localRoots++
+		} else {
+			d.remoteRoots++
 		}
-		delete(d.gen, root)
-		d.prog.observe(explore.Event{Kind: explore.EventFailed, Root: root, Attempt: d.attempts[root], Err: why})
-		d.logf("job %s root %d: abandoned after %d attempts: %s", d.id, root, d.attempts[root], why)
-		return
 	}
-	d.gen[root]++
-	d.requeues++
-	d.pending = append(d.pending, root)
-	d.prog.observe(explore.Event{Kind: explore.EventRequeue, Root: root, Attempt: d.attempts[root], Err: why})
+	d.stepped(ev)
+	return distcensus.ResultAccepted
 }
 
 // expire requeues every remote lease whose TTL has run out, returning
@@ -230,67 +187,27 @@ func (d *distJob) requeueLocked(root int, why string) {
 func (d *distJob) expire(now time.Time) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for root, l := range d.leases {
-		if l.local || now.Before(l.expires) {
-			continue
-		}
-		delete(d.leases, root)
+	gone, ev := d.ledger.Expire(now.UnixNano(), "lease expired")
+	for _, c := range gone {
 		d.expiries++
-		n++
-		d.logf("job %s root %d: lease held by %s expired (gen %d); requeueing under gen %d",
-			d.id, root, l.worker, l.gen, d.gen[root]+1)
-		d.requeueLocked(root, fmt.Sprintf("lease held by %s expired", l.worker))
+		d.logf("job %s root %d: lease held by %s expired (gen %d)", d.id, c.Root, c.Owner, c.Gen)
 	}
-	if n > 0 {
-		d.maybeDoneLocked()
-	}
-	return n
-}
-
-// claimLocal claims the next pending root for the coordinator's own
-// fallback executor.
-func (d *distJob) claimLocal(now time.Time) (root, gen int, ok bool) {
-	l := d.lease("local", now, true)
-	if l == nil {
-		return 0, 0, false
-	}
-	return l.Root, l.Generation, true
-}
-
-// releaseLocal returns a locally claimed root to the queue unexplored
-// (coordinator shutdown mid-exploration). The generation is not
-// bumped: nothing of this attempt can ever be delivered late.
-func (d *distJob) releaseLocal(root int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if l := d.leases[root]; l != nil && l.local {
-		delete(d.leases, root)
-		d.attempts[root]--
-		d.pending = append(d.pending, root)
-	}
+	d.stepped(ev)
+	return len(gone)
 }
 
 // resolvedCopy snapshots the resolved map for checkpointing/merging.
 func (d *distJob) resolvedCopy() map[int]explore.RootSummary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]explore.RootSummary, len(d.resolved))
-	for k, v := range d.resolved {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(d.resolved)
 }
 
 // failedCopy snapshots the abandoned roots.
 func (d *distJob) failedCopy() map[int]explore.RootFailure {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]explore.RootFailure, len(d.failed))
-	for k, v := range d.failed {
-		out[k] = v
-	}
-	return out
+	return d.ledger.Failures()
 }
 
 // distJobView is the jobView's distribution block.
@@ -310,20 +227,24 @@ type distLeaseView struct {
 	Root       int       `json:"root"`
 	Worker     string    `json:"worker"`
 	Generation int       `json:"generation"`
-	Expires    time.Time `json:"expires"`
+	Expires    time.Time `json:"expires"` // zero for the coordinator's own lease, which never expires
 }
 
 func (d *distJob) view() *distJobView {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := &distJobView{
-		Pending: len(d.pending), Resolved: len(d.resolved),
+		Pending: d.ledger.Queued(), Resolved: len(d.resolved),
 		RemoteRoots: d.remoteRoots, LocalRoots: d.localRoots,
 		StaleResults: d.staleResults, DupResults: d.dupResults,
 		Expiries: d.expiries, Requeues: d.requeues,
 	}
-	for root, l := range d.leases {
-		v.Leases = append(v.Leases, distLeaseView{Root: root, Worker: l.worker, Generation: l.gen, Expires: l.expires})
+	for _, c := range d.ledger.Claims() {
+		lv := distLeaseView{Root: c.Root, Worker: c.Owner, Generation: c.Gen}
+		if c.Deadline != 0 {
+			lv.Expires = time.Unix(0, c.Deadline)
+		}
+		v.Leases = append(v.Leases, lv)
 	}
 	sort.Slice(v.Leases, func(a, b int) bool { return v.Leases[a].Root < v.Leases[b].Root })
 	return v
@@ -440,7 +361,7 @@ func (ds *distState) totals() (stale, dup, expiries, remote int64, leases int) {
 		dup += d.dupResults
 		expiries += d.expiries
 		remote += d.remoteRoots
-		leases += len(d.leases)
+		leases += len(d.ledger.Claims())
 		d.mu.Unlock()
 	}
 	return
@@ -537,16 +458,17 @@ func (s *Server) runJobDistributed(ctx, jobCtx context.Context, js *jobState, id
 			// explores pending roots itself, one per claim, re-checking
 			// the fleet between roots so a returning worker takes over.
 			for s.dist.liveWorkers(time.Now()) == 0 && jobCtx.Err() == nil {
-				root, gen, ok := dj.claimLocal(time.Now())
-				if !ok {
+				l := dj.lease("local", time.Now(), true)
+				if l == nil {
 					break
 				}
-				sum, cancelled := plan.ExploreRootLocal(jobCtx, root)
+				// A cancelled local attempt ends the job: its claim is left
+				// to the closing ledger.
+				sum, cancelled := plan.ExploreRootLocal(jobCtx, l.Root)
 				if cancelled {
-					dj.releaseLocal(root)
 					break
 				}
-				dj.deliver("local", root, gen, sum, "", true)
+				dj.deliver("local", l.Root, l.Generation, sum, "", true)
 			}
 		}
 	}

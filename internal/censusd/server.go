@@ -158,8 +158,11 @@ type jobState struct {
 
 func (js *jobState) setCancel(fn context.CancelFunc) {
 	js.cmu.Lock()
+	defer js.cmu.Unlock()
 	js.cancel = fn
-	js.cmu.Unlock()
+	if js.cancelReq {
+		fn() // cancelled while running, before this context existed
+	}
 }
 
 // requestCancel flips the cancel flag and fires the job's context (a

@@ -105,16 +105,17 @@ type engine struct {
 	meTried bool
 	snaps   sim.Snap
 
-	// pool/item/attempt/workerID tie a work-stealing census engine to
-	// the steal pool (steal.go): hungry() polls are answered by donating
-	// untried sibling subtrees from the shallowest open frame, and
-	// skipcheck marks that this walk must honor the item's donation log
-	// (children excised by earlier attempts of the same item).
-	pool      *stealPool
-	item      *stealItem
-	attempt   int
-	workerID  int
-	skipcheck bool
+	// pool/claim tie a work-stealing census engine to the steal pool
+	// (steal.go) and the ledger entry it walks: hungry() polls are
+	// answered by donating untried sibling subtrees from the shallowest
+	// open frame, and skipcheck marks that this walk must honor the
+	// entry's donation log (children excised by earlier attempts of the
+	// same entry). keyBuf and kidBuf hold the prefixes it shows the
+	// ledger.
+	pool           *stealPool
+	claim          Claim
+	skipcheck      bool
+	keyBuf, kidBuf []Choice
 
 	// ctx, when non-nil, is checked once per terminal probe: a cancelled
 	// context stops the walk at the next run boundary (cancelled is set),
@@ -409,12 +410,10 @@ func (en *engine) backtrack() bool {
 		for f.next < en.childCount(f) {
 			c := en.childChoice(f, f.next)
 			f.next++
-			if en.skipcheck && en.item.skips(en.prefixKey(len(en.frames)-1, c)) {
-				// Excised by a donation in an earlier attempt: the child
-				// is counted by its own queue item, so this frame's
-				// accumulator — and every ancestor's — no longer covers
-				// its whole subtree. Poison them against table
-				// publication, exactly as donate() does at donation time.
+			if en.skipcheck && en.logged(true, len(en.frames)-1, c) {
+				// Donated by an earlier attempt: its own ledger entry
+				// counts it, so this frame and its ancestors no longer
+				// cover their subtrees. Poison them, as donate() does.
 				for j := range en.frames {
 					en.frames[j].donated = true
 				}
@@ -455,11 +454,10 @@ func (en *engine) creditChild(f *frame, c Choice) bool {
 			continue
 		}
 		// Under a donation log, the reordered node's subtree may contain
-		// children excised to other queue items; crediting the full
+		// children excised to other ledger entries; crediting the full
 		// stored summary would double-count them. The exact-match case
-		// was excluded by the skips() check above; proper ancestors are
-		// excluded here.
-		if en.skipcheck && en.item.shadowsChild(en.root, en.path[:d], c) {
+		// was excised by backtrack; proper ancestors are excluded here.
+		if en.skipcheck && en.logged(false, d, c) {
 			return false
 		}
 		s, hit := en.table.get(pr.key)
@@ -541,19 +539,28 @@ func (en *engine) getPairs() []pairRec {
 	return make([]pairRec, 0, 4)
 }
 
-// donate hands the pool every untried child of the shallowest open
+// donate offers the ledger every untried child of the shallowest open
 // frame that still has any — the largest subtrees this walk has not
-// committed to. The frame and all its ancestors are poisoned against
-// table publication (their accumulators no longer cover their keys);
-// deeper frames are untouched and still publish normally.
+// committed to. If the ledger takes them the frame stops there, and it
+// and its ancestors are poisoned against table publication (their
+// accumulators no longer cover their keys); deeper frames still
+// publish. If it refuses — the attempt lost its claim, or a child is an
+// ancestor of a logged donation — the walk continues unchanged.
 func (en *engine) donate() {
 	for i := range en.frames {
 		f := &en.frames[i]
-		if f.next >= en.childCount(f) {
+		n := en.childCount(f)
+		if f.next >= n {
 			continue
 		}
-		if en.pool.donateFrom(en, i, f) {
-			f.next = en.childCount(f)
+		en.keyBuf = append(append(en.keyBuf[:0], en.root...), en.path[:i]...)
+		en.kidBuf = en.kidBuf[:0]
+		for idx := f.next; idx < n; idx++ {
+			en.kidBuf = append(en.kidBuf, en.childChoice(f, idx))
+		}
+		if en.pool.donate(en.claim, en.keyBuf, en.kidBuf) {
+			en.skipcheck = true
+			f.next = n
 			for j := 0; j <= i; j++ {
 				en.frames[j].donated = true
 			}
@@ -562,14 +569,16 @@ func (en *engine) donate() {
 	}
 }
 
-// prefixKey renders root+path[:depth]+c — the schedule prefix of child
-// c at the given frame depth — into the engine's plan scratch and
-// formats it as the donation-log key.
-func (en *engine) prefixKey(depth int, c Choice) string {
-	en.plan = append(en.plan[:0], en.root...)
-	en.plan = append(en.plan, en.path[:depth]...)
-	en.plan = append(en.plan, c)
-	return FormatSchedule(en.plan)
+// logged asks the ledger how the schedule prefix root+path[:depth]+tail
+// relates to the walk's donation log: with exact, whether a donated
+// prefix equals it; without, whether one extends it (it is a proper
+// ancestor). Only walks with a donation log ask.
+func (en *engine) logged(exact bool, depth int, tail ...Choice) bool {
+	en.keyBuf = append(append(append(en.keyBuf[:0], en.root...), en.path[:depth]...), tail...)
+	en.pool.mu.Lock()
+	is, under := en.pool.ledger.Donated(en.claim.Entry, en.keyBuf)
+	en.pool.mu.Unlock()
+	return exact && is || !exact && under
 }
 
 // popFrame removes the deepest frame, merging its summary into its
@@ -736,14 +745,10 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	}
 	f := frame{crashes: p.crashes, faults: p.faults}
 	if en.table != nil {
-		if en.skipcheck && en.item.shadows(en.root, en.path) {
-			// This node is a proper ancestor of a child donated away by
-			// an earlier attempt of the same item, so part of its
-			// subtree is owned by separately-enqueued items. A table
-			// hit here would credit those donated children a second
-			// time, and the frame's own accumulator will lose them to
-			// skip excision below — so the retried walk must neither
-			// consult nor publish the table at this node.
+		if en.skipcheck && en.logged(false, len(en.path)) {
+			// A proper ancestor of a child an earlier attempt donated:
+			// a hit would count that child twice, and excision will
+			// leave this frame short, so neither consult nor publish.
 			f.donated = true
 		} else {
 			var fp uint64

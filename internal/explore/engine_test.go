@@ -233,43 +233,3 @@ func TestParallelCensusMatchesSequential(t *testing.T) {
 		})
 	}
 }
-
-// TestHuntDeterminism: the randomized hunter is part of the public
-// exploration surface; same seed + builder must give the identical
-// tried count and outcome, so engine work can't silently change hunt
-// semantics.
-func TestHuntDeterminism(t *testing.T) {
-	type huntResult struct {
-		sched string
-		tried int
-		found bool
-	}
-	hunt := func(b explore.Builder, opts explore.Options, trials int, seed int64) huntResult {
-		out, tried := explore.Hunt(b, opts, trials, seed, disagreement)
-		r := huntResult{tried: tried, found: out != nil}
-		if out != nil {
-			r.sched = explore.FormatSchedule(out.Schedule)
-		}
-		return r
-	}
-	cases := []struct {
-		name   string
-		b      explore.Builder
-		opts   explore.Options
-		trials int
-	}{
-		{name: "rw-violation", b: rwConsensusAttempt, trials: 500},
-		{name: "tas-quiet", b: tasConsensus([2]int{1, 2}), opts: explore.Options{MaxCrashes: 1}, trials: 300},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				a := hunt(tc.b, tc.opts, tc.trials, seed)
-				b := hunt(tc.b, tc.opts, tc.trials, seed)
-				if a != b {
-					t.Fatalf("seed %d: hunt not deterministic: %+v vs %+v", seed, a, b)
-				}
-			}
-		})
-	}
-}

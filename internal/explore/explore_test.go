@@ -214,36 +214,3 @@ func TestChoiceString(t *testing.T) {
 		t.Errorf("FormatSchedule = %q", got)
 	}
 }
-
-// TestHuntFindsRWViolation: the randomized hunter falsifies the doomed
-// read/write consensus without exhaustive search.
-func TestHuntFindsRWViolation(t *testing.T) {
-	out, tried := explore.Hunt(rwConsensusAttempt, explore.Options{}, 500, 1, func(res *sim.Result) error {
-		if d := res.DistinctDecisions(); len(d) > 1 {
-			return errors.New("disagreement")
-		}
-		return nil
-	})
-	if out == nil {
-		t.Fatalf("hunter found no violation in %d trials", tried)
-	}
-	if len(out.Result.DistinctDecisions()) < 2 {
-		t.Error("reported outcome does not actually disagree")
-	}
-}
-
-// TestHuntPassesCorrectProtocol: hunting a correct protocol stays quiet.
-func TestHuntPassesCorrectProtocol(t *testing.T) {
-	out, tried := explore.Hunt(tasConsensus([2]int{1, 2}), explore.Options{MaxCrashes: 1}, 300, 2, func(res *sim.Result) error {
-		if d := res.DistinctDecisions(); len(d) > 1 {
-			return errors.New("disagreement")
-		}
-		return nil
-	})
-	if out != nil {
-		t.Errorf("hunter reported a false violation: %s", explore.FormatSchedule(out.Schedule))
-	}
-	if tried != 300 {
-		t.Errorf("tried %d runs, want 300", tried)
-	}
-}

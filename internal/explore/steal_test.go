@@ -115,18 +115,19 @@ func TestStealCensusChaosBitIdentical(t *testing.T) {
 
 // TestRetriedDonorTableSoundness pins the transposition-table rules of
 // a retried donor attempt — an attempt re-claimed after an earlier
-// attempt of the same item donated a child away. Both hazards are
-// exercised deterministically by running the donor walk (skip log
-// pre-seeded) and the donated item's walk directly:
+// attempt of the same entry donated a child away. Both hazards are
+// exercised deterministically by running the donor walk (the donation
+// logged in the ledger by its first attempt) and the donated entry's
+// walk directly:
 //
 //  1. Publication: the donor's frames at ancestors of the donated
-//     prefix lose the donated subtree to skip excision, so nothing the
+//     prefix lose the donated subtree to excision, so nothing the
 //     donor publishes may under-count — every table entry it produces
 //     must match the entry a full sequential walk produces for the
 //     same key.
 //  2. Hits: against a table pre-seeded by a full walk, the donor must
 //     not take hits at those ancestors — a hit would credit the
-//     donated subtree a second time on top of the donated item's walk.
+//     donated subtree a second time on top of the donated entry's walk.
 func TestRetriedDonorTableSoundness(t *testing.T) {
 	b := wideTree
 	opts := Options{MaxCrashes: 1}.withDefaults().With(WithPrune())
@@ -167,26 +168,13 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 	}
 
 	// runSplit replays the retried-donor scenario against the given
-	// table: the donor item's walk with the donation pre-logged, plus
-	// the donated item's walk, merged. The pair partitions the tree, so
-	// the merged census must equal the reference census exactly.
+	// table: the donor entry's retried walk, its first attempt having
+	// donated `donated`, plus the donated entry's walk, merged. The pair
+	// partitions the tree, so the merged census must equal the
+	// reference census exactly.
 	runSplit := func(table *pruneTable) *Census {
 		t.Helper()
-		p := &stealPool{
-			ctx: context.Background(), cfg: opts.supervise(), opts: opts,
-			check: disagreeCheck, table: table, total: newSummary(),
-			claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
-		}
-		p.cond = sync.NewCond(&p.mu)
-		it := &stealItem{
-			pool: p, attempts: 2, current: 2,
-			skip:     map[string]bool{FormatSchedule(donated): true},
-			skipSeqs: [][]Choice{donated},
-		}
-		donor := &engine{
-			b: b, opts: opts, acc: newSummary(), check: disagreeCheck,
-			table: table, pool: p, item: it, attempt: 2, skipcheck: true,
-		}
+		_, donor := retriedDonor(t, opts, table, donated)
 		donor.run()
 		den := &engine{b: b, opts: opts, acc: newSummary(), check: disagreeCheck, table: table, root: donated}
 		den.run()
@@ -231,46 +219,87 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 	sameCensus(t, "seeded-table split", runSplit(refTable), want)
 }
 
-// TestStealRetryStaleGeneration: a superseded attempt's panic must not
-// requeue or fail an item out from under the live attempt. Pre-fix, a
-// stale straggler reaching retryOrFail at the attempt budget marked
-// the item as a RootFailure, so the live attempt's imminent successful
-// result was discarded in resolve and the subtree silently dropped.
-func TestStealRetryStaleGeneration(t *testing.T) {
-	opts := Options{}.withDefaults().With(WithSupervision(Supervise{
-		MaxAttempts: 1, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond,
-	}))
-	p := &stealPool{
-		ctx: context.Background(), cfg: opts.supervise(), opts: opts,
-		total: newSummary(), claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
-	}
+// retriedDonor returns a pool whose ledger holds one whole-tree root
+// entry in its second attempt, its first attempt having donated each of
+// logged before it was expired, and an engine for the second attempt.
+// The donated entries stay queued.
+func retriedDonor(t *testing.T, opts Options, table *pruneTable, logged ...[]Choice) (*stealPool, *engine) {
+	t.Helper()
+	p := &stealPool{ctx: context.Background(), cfg: opts.supervise(), opts: opts, ledger: NewLedger(2), finished: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
-	it := &stealItem{pool: p, prefix: []Choice{{Pick: 0}}, donor: -1, queued: true}
-	p.queue = append(p.queue, it)
-	p.outstanding = 1
-	if got := p.next(0); got != it {
-		t.Fatal("claim of the seeded item failed")
+	p.ledger.Open(0, nil)
+	c, _, _ := p.ledger.Claim("first", 1)
+	for _, d := range logged {
+		if v, _ := p.ledger.Donate(c.Entry, c.Gen, d[:len(d)-1], d[len(d)-1:]); v != VerdictAccepted {
+			t.Fatalf("first attempt's donation of %s refused: %v", FormatSchedule(d), v)
+		}
 	}
-	// A watchdog requeue hands the item to a second, live claim.
-	p.mu.Lock()
-	it.attempts++
-	it.current++
-	p.mu.Unlock()
-	// The stale first attempt (generation 1) panics with the budget
-	// spent: it must be a no-op, not a requeue or a RootFailure.
-	p.retryOrFail(it, 1, 1, "panic: stale straggler")
-	p.mu.Lock()
-	if it.done || len(p.failed) != 0 || len(p.queue) != 0 {
-		p.mu.Unlock()
-		t.Fatalf("stale attempt settled the item: done=%v failed=%v queue=%d", it.done, p.failed, len(p.queue))
+	p.ledger.Expire(1, "stalled")
+	if c, _, _ = p.ledger.Claim("second", 0); c.Entry != 0 || c.Attempt != 2 || c.Logged != len(logged) {
+		t.Fatalf("retried claim %+v, want entry 0, attempt 2, %d logged", c, len(logged))
 	}
-	p.mu.Unlock()
-	// The live attempt's completion still resolves the item.
-	p.resolve(it, 2, &engine{acc: newSummary()})
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !it.done || p.outstanding != 0 || len(p.failed) != 0 {
-		t.Fatalf("live attempt did not resolve cleanly: done=%v outstanding=%d failed=%v", it.done, p.outstanding, p.failed)
+	return p, &engine{
+		b: wideTree, opts: opts, acc: newSummary(), check: disagreeCheck,
+		table: table, pool: p, claim: c, skipcheck: true,
+	}
+}
+
+// TestRetriedDonorDonatesNoAncestor: a retried donor attempt must not
+// donate an ancestor of a prefix an earlier attempt of the same entry
+// already donated, or the new entry walks that prefix a second time on
+// top of the entry that owns it. The retried whole-tree entry below
+// holds `1 1` in its donation log and donates at every backtrack; its
+// walk, every entry it donates and `1 1` itself must partition the tree.
+func TestRetriedDonorDonatesNoAncestor(t *testing.T) {
+	forceDonation(t)
+	opts := Options{MaxCrashes: 1}.withDefaults()
+	want := Run(wideTree, opts, disagreeCheck)
+	p, donor := retriedDonor(t, opts, nil, []Choice{{Pick: 1}, {Pick: 1}})
+	donor.run()
+	total := newSummary()
+	total.merge(donor.acc)
+	for {
+		c, _, ok := p.ledger.Claim("walker", 0)
+		if !ok {
+			break
+		}
+		en := &engine{b: wideTree, opts: opts, acc: newSummary(), check: disagreeCheck, root: c.Prefix}
+		en.run()
+		total.merge(en.acc)
+	}
+	sameCensus(t, "retried donor and its donations", censusFrom(total, true), want)
+}
+
+// TestStealRetryStaleGeneration: a superseded attempt's failure must
+// not requeue or fail an entry out from under the live attempt. A stale
+// straggler reaching the retry path at the attempt budget once marked
+// the item as a RootFailure, so the live attempt's imminent successful
+// result was discarded and the subtree silently dropped.
+func TestStealRetryStaleGeneration(t *testing.T) {
+	l := NewLedger(2)
+	l.Open(0, []Choice{{Pick: 0}})
+	c1, _, _ := l.Claim("w1", 1)
+	// A watchdog expiry hands the entry to a second, live claim: the
+	// last one the attempt budget allows.
+	l.Expire(1, "stalled")
+	c2, _, ok := l.Claim("w2", 0)
+	if !ok || c2.Entry != c1.Entry || c2.Gen == c1.Gen || c2.Attempt != 2 {
+		t.Fatalf("re-claim after expiry %+v (first claim %+v)", c2, c1)
+	}
+	// The stale first attempt panics with the budget spent: it must be
+	// a no-op, not a requeue or a RootFailure.
+	if v, ev := l.Fail(c1.Entry, c1.Gen, "panic: stale straggler"); v != VerdictStale || len(ev) != 0 {
+		t.Fatalf("stale failure: verdict %v, events %v", v, ev)
+	}
+	if len(l.Failures()) != 0 || l.Queued() != 0 || !l.holds(c2.Entry, c2.Gen) {
+		t.Fatalf("stale attempt settled the entry: failed=%v queued=%d", l.Failures(), l.Queued())
+	}
+	// The live attempt's completion still resolves the root.
+	if v, ev := l.Deliver(c2.Entry, c2.Gen); v != VerdictAccepted || len(ev) != 1 || ev[0].Kind != EventResolved {
+		t.Fatalf("live delivery: verdict %v, events %v", v, ev)
+	}
+	if !l.Finished() || len(l.Failures()) != 0 {
+		t.Fatalf("live attempt did not resolve cleanly: failed=%v", l.Failures())
 	}
 }
 

@@ -12,21 +12,14 @@ import (
 )
 
 // This file is the supervision policy of the work-stealing pool
-// (steal.go), the one scheduler behind every pooled census — plain Run
-// with workers, pruned or not, and RunCheckpointed. The engines stay
-// exact enumerators; the pool wraps the dispatch of items to workers
-// with the machinery that keeps long censuses alive: cooperative
-// cancellation, capped retry with deterministic backoff when an item's
-// worker panics, a heartbeat-driven stall watchdog that requeues items
-// whose workers stop advancing, and a seeded chaos injector used by the
-// tests to prove all of the above preserves bit-identical censuses.
-//
-// Soundness rests on one invariant: an item is either fully explored
-// by exactly one successful current-generation attempt, or its root is
-// reported in FailedRoots — never partially merged into a settled
-// root. Attempts replay the same prefix from the same system state, so
-// retrying changes nothing a successful attempt counts; the pool's
-// generation guard (steal.go) discards stale stragglers.
+// (steal.go), the one scheduler behind every pooled census: cooperative
+// cancellation, capped retry with deterministic backoff when an
+// attempt panics, a heartbeat-driven stall watchdog that requeues
+// entries whose workers stop advancing, and a seeded chaos injector
+// used by the tests to prove all of it preserves bit-identical
+// censuses. Attempts replay the same prefix from the same state, so a
+// retry changes nothing a successful attempt counts, and the root
+// ledger (ledger.go) counts exactly one attempt per entry.
 
 // Supervise configures the resilience policy of pooled exploration.
 // The zero value (or a nil Options.Supervision) means: 3 attempts per
@@ -49,8 +42,9 @@ type Supervise struct {
 	Seed int64
 	// StallTimeout arms the watchdog: a claimed item whose worker
 	// heartbeat does not advance for this long is requeued (attempts
-	// permitting) and a replacement worker keeps the pool at width.
-	// Zero disables the watchdog and all heartbeat accounting.
+	// permitting) under a new generation. A replacement worker starts,
+	// and the abandoned one retires when its attempt returns, so the
+	// pool stays at its width. Zero disables the watchdog.
 	StallTimeout time.Duration
 	// Chaos, when non-nil, injects seeded worker kills and stalls —
 	// the fault model the retry policy and watchdog are verified under.
@@ -79,10 +73,11 @@ const (
 	// resolved (emitted exactly once per root, however many attempts
 	// and donations it took).
 	EventResolved
-	// EventRetry: an attempt failed (panic) and its item was re-queued.
+	// EventRetry: an attempt failed (a panic, or an error a distributed
+	// worker reported) and its item is re-queued.
 	EventRetry
-	// EventRequeue: the stall watchdog abandoned a frozen attempt and
-	// re-queued its item.
+	// EventRequeue: the stall watchdog (or a lease expiry) abandoned an
+	// attempt and re-queued its item.
 	EventRequeue
 	// EventFailed: the root settled lost — an item of it ran out of its
 	// attempt budget; the root's subtree is the census's coverage
@@ -164,7 +159,7 @@ type SuperviseStats struct {
 	// Kills and Stalls count injected chaos events.
 	Kills  atomic.Int64
 	Stalls atomic.Int64
-	// Failed counts items abandoned after the attempt budget.
+	// Failed counts roots lost after the attempt budget.
 	Failed atomic.Int64
 }
 
@@ -207,14 +202,6 @@ type supCfg struct {
 	chaos       *chaosState
 	stats       *SuperviseStats
 	onEvent     func(Event)
-}
-
-// emit delivers a supervisor event to the observer, if any. Callers
-// must not hold the supervisor mutex.
-func (c *supCfg) emit(e Event) {
-	if c.onEvent != nil {
-		c.onEvent(e)
-	}
 }
 
 func (o Options) supervise() *supCfg {

@@ -32,8 +32,8 @@ go test -race -count=1 ./internal/censusd/
 echo "== distributed-census client/worker under the race detector"
 go test -race -count=1 ./internal/distcensus/
 
-echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses)"
-go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates' \
+echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses, root ledger)"
+go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry' \
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation)"
@@ -57,6 +57,9 @@ if ! cmp -s "$w1json" "$w2json"; then
 	exit 1
 fi
 rm -f "$w1json" "$w2json"
+
+echo "== perfbench determinism smoke and pin gate: every workload at tiny sizes must run and count right"
+(cd perfbench && go test -count=1 ./...)
 
 echo "== fingerprint audit census: incremental plain+canonical hashes cross-checked against from-scratch recomputes on every step"
 go run ./cmd/explore -protocol cas -k 4 -n 3 -crashes 1 -symmetry -verifyfp \
