@@ -128,6 +128,22 @@ func inflightRecs(dir string) map[int]int {
 	return recs
 }
 
+// holdsPersistedLease reports whether the job view shows a lease held by
+// worker whose in-flight record, under the same generation, the worker
+// has persisted in dir.
+func holdsPersistedLease(v *jobView, worker, dir string) bool {
+	if v.Dist == nil {
+		return false
+	}
+	recs := inflightRecs(dir)
+	for _, l := range v.Dist.Leases {
+		if gen, persisted := recs[l.Root]; l.Worker == worker && persisted && gen == l.Generation {
+			return true
+		}
+	}
+	return false
+}
+
 // getHealth fetches /healthz (ok false on transport errors).
 func getHealth(base string) (*health, bool) {
 	resp, err := http.Get(base + "/healthz")
@@ -187,32 +203,35 @@ func TestDistWorkerKillStaleRejection(t *testing.T) {
 	// writes the record, and a kill inside that window would leave the
 	// resurrected worker nothing to resume — no late delivery, no
 	// stale rejection to observe.
+	//
+	// The look and the kill are two steps: w1 can deliver the lease it
+	// was seen holding before the signal lands and die holding none,
+	// which leaves no lease to expire. A dead w1 cannot change the lease
+	// table, so the look is repeated after the kill, once any delivery
+	// it had in flight has landed; a miss brings w1 back and tries again.
 	deadline = time.Now().Add(120 * time.Second)
 	killed := false
-	for time.Now().Before(deadline) {
+	for !killed && time.Now().Before(deadline) {
 		v, ok := getJob(base, id)
 		if ok && v.State == StateDone {
 			t.Fatal("job finished before the kill; grow its budget")
 		}
-		if ok && v.Dist != nil && len(v.Dist.Leases) > 0 {
-			recs := inflightRecs(w1dir)
-			for _, l := range v.Dist.Leases {
-				gen, persisted := recs[l.Root]
-				if l.Worker == "w1" && persisted && gen == l.Generation {
-					killed = true
-					break
-				}
-			}
-			if killed {
-				if err := w1.Process.Signal(syscall.SIGKILL); err != nil {
-					t.Fatal(err)
-				}
-				_ = w1.Wait()
-				w1Stopped = true
-				break
-			}
+		if !ok || !holdsPersistedLease(v, "w1", w1dir) {
+			time.Sleep(5 * time.Millisecond)
+			continue
 		}
-		time.Sleep(5 * time.Millisecond)
+		if err := w1.Process.Signal(syscall.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		_ = w1.Wait()
+		w1Stopped = true
+		time.Sleep(100 * time.Millisecond)
+		if v, ok := getJob(base, id); ok && holdsPersistedLease(v, "w1", w1dir) {
+			killed = true
+		} else {
+			w1 = startWorker(t, workerBin, base, w1dir, "w1")
+			w1Stopped = false
+		}
 	}
 	if !killed {
 		t.Fatal("worker never held a lease with a persisted in-flight record")

@@ -180,14 +180,14 @@ func TestNoPlanIsTransparent(t *testing.T) {
 				return prev, nil
 			}
 		})
-		res, err := sys.Run(sim.Config{Fingerprint: true})
-		if err != nil {
+		if _, err := sys.Run(sim.Config{Fingerprint: true}); err != nil {
 			t.Fatal(err)
 		}
-		if !res.FingerprintOK {
+		fp, ok := sys.StateHash()
+		if !ok {
 			t.Fatal("fingerprint unavailable; every object should be a StateKeyer")
 		}
-		return res.Fingerprint
+		return fp
 	}
 	// Note: the wrapper prefixes its own fault state to the inner key, so
 	// fingerprints differ between wrapped and bare systems by design.

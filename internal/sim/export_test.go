@@ -22,7 +22,7 @@ func (s *System) StateHashCanonScratch() (uint64, int, bool) {
 	var best uint64
 	bestK := 0
 	for k := range c.perms {
-		fp, ok := s.stateHashUnder(k)
+		fp, ok := c.stateHashUnder(s, k)
 		if !ok {
 			fp2, ok2 := s.fpPlainScratch()
 			return fp2, 0, ok2

@@ -198,13 +198,13 @@ func fpProcComp(j int, p *proc) uint64 {
 	return fpProcTail(h, p, p.value)
 }
 
-// fpCanonObjComp folds object oi's component as it would appear in the
-// π_k-renamed execution: the renamed name as the slot salt, the state
-// folded with renamed values. By the PermStateFolder contract this
-// equals the identity component of the renamed object, so XOR-combining
-// over all objects matches the renamed execution's plain combination.
-func (s *System) fpCanonObjComp(k, oi int) (uint64, bool) {
-	c := s.canon
+// objCompUnder folds object oi's component of s as it would appear in
+// the π_k-renamed execution: the renamed name as the slot salt, the
+// state folded with renamed values. By the PermStateFolder contract
+// this equals the identity component of the renamed object, so
+// XOR-combining over all objects matches the renamed execution's plain
+// combination.
+func (c *Canonicalizer) objCompUnder(s *System, k, oi int) (uint64, bool) {
 	obj, ok := s.objects[c.names[oi]].(PermStateFolder)
 	if !ok {
 		return 0, false
@@ -213,14 +213,15 @@ func (s *System) fpCanonObjComp(k, oi int) (uint64, bool) {
 	return uint64(obj.FoldStateUnder(h, c.perms[k], c.renameVal[k])), true
 }
 
-// fpCanonProcComp folds process i's component in the π_k-renamed
+// procCompUnder folds process i's component of s in the π_k-renamed
 // execution: slot salt π_k(i) (the slot the process occupies after
 // renaming), the per-permutation observation hash, and the status with
 // a renamed decision value. XOR makes the combination order-free, so
 // salting with the renamed slot is exactly folding the processes in
-// renamed-ID order.
-func (s *System) fpCanonProcComp(k, i int) uint64 {
-	c := s.canon
+// renamed-ID order. The identity (k = 0) reads only the plain
+// observation hash, so it needs no per-permutation hashes: a system
+// run without Config.Canon has its identity image folded too.
+func (c *Canonicalizer) procCompUnder(s *System, k, i int) uint64 {
 	p := s.procs[i]
 	oph := p.opHash
 	if k != 0 {
@@ -236,7 +237,7 @@ func (s *System) fpCanonProcComp(k, i int) uint64 {
 
 // Cached-salt component recomputes — the flush/rebuild fast path. Each
 // must fold the exact sequence of its from-scratch counterpart above
-// (fpObjComp / fpProcComp / fpCanonObjComp / fpCanonProcComp): the
+// (fpObjComp / fpProcComp / objCompUnder / procCompUnder): the
 // VerifyFingerprints cross-checks compare their results word-for-word.
 
 // objCompCached uses the foldObjs/keyObjs assertions made at rebuild
@@ -500,7 +501,7 @@ func (s *System) fpVerifyPlain() {
 // stateHashUnder, the from-scratch canonical reference.
 func (s *System) fpVerifyCanon() {
 	for k := 0; k < s.fp.nPerm; k++ {
-		want, ok := s.stateHashUnder(k)
+		want, ok := s.canon.stateHashUnder(s, k)
 		if !ok || want != s.fp.canonHash[k] {
 			panic(fmt.Sprintf("sim: VerifyFingerprints: incremental canonical fingerprint %#x != from-scratch %#x (ok=%v) under permutation %d at step %d",
 				s.fp.canonHash[k], want, ok, k, s.steps))
@@ -522,12 +523,8 @@ func (s *System) fpSnapshot(sn *Snap) {
 		return
 	}
 	sn.Uint64(fp.plain)
-	for _, c := range fp.objComp {
-		sn.Uint64(c)
-	}
-	for _, c := range fp.procComp {
-		sn.Uint64(c)
-	}
+	sn.Uint64s(fp.objComp)
+	sn.Uint64s(fp.procComp)
 	if fp.nPerm == 0 {
 		return
 	}
@@ -535,15 +532,9 @@ func (s *System) fpSnapshot(sn *Snap) {
 	if !fp.canonOK {
 		return
 	}
-	for _, c := range fp.canonHash {
-		sn.Uint64(c)
-	}
-	for _, c := range fp.canonObj {
-		sn.Uint64(c)
-	}
-	for _, c := range fp.canonProc {
-		sn.Uint64(c)
-	}
+	sn.Uint64s(fp.canonHash)
+	sn.Uint64s(fp.canonObj)
+	sn.Uint64s(fp.canonProc)
 }
 
 // fpRestore rewinds the fingerprint cache to a snapshot written by
@@ -566,12 +557,8 @@ func (s *System) fpRestore(r *SnapReader) {
 		return
 	}
 	fp.plain = r.Uint64()
-	for i := range fp.objComp {
-		fp.objComp[i] = r.Uint64()
-	}
-	for j := range fp.procComp {
-		fp.procComp[j] = r.Uint64()
-	}
+	r.Uint64s(fp.objComp)
+	r.Uint64s(fp.procComp)
 	if fp.nPerm == 0 {
 		return
 	}
@@ -579,13 +566,7 @@ func (s *System) fpRestore(r *SnapReader) {
 	if !fp.canonOK {
 		return
 	}
-	for k := range fp.canonHash {
-		fp.canonHash[k] = r.Uint64()
-	}
-	for i := range fp.canonObj {
-		fp.canonObj[i] = r.Uint64()
-	}
-	for i := range fp.canonProc {
-		fp.canonProc[i] = r.Uint64()
-	}
+	r.Uint64s(fp.canonHash)
+	r.Uint64s(fp.canonObj)
+	r.Uint64s(fp.canonProc)
 }

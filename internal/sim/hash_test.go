@@ -42,45 +42,43 @@ func buildCounter(obj Object) *System {
 	return sys
 }
 
-func TestResultFingerprintDeterministic(t *testing.T) {
-	run := func() *Result {
-		sys := buildCounter(&keyedReg{name: "c"})
-		res, err := sys.Run(Config{Fingerprint: true, DisableTrace: true})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return res
+// finalHash runs sys under cfg and returns the fingerprint of the
+// final state.
+func finalHash(t *testing.T, sys *System, cfg Config) (uint64, bool) {
+	t.Helper()
+	if _, err := sys.Run(cfg); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	a, b := run(), run()
-	if !a.FingerprintOK || !b.FingerprintOK {
+	return sys.StateHash()
+}
+
+// TestResultFingerprintDeterministic: two identical runs end in states
+// with equal fingerprints.
+func TestResultFingerprintDeterministic(t *testing.T) {
+	run := func() (uint64, bool) {
+		return finalHash(t, buildCounter(&keyedReg{name: "c"}), Config{Fingerprint: true, DisableTrace: true})
+	}
+	a, aok := run()
+	b, bok := run()
+	if !aok || !bok {
 		t.Fatal("fingerprint not available despite Config.Fingerprint and keyed objects")
 	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("identical runs fingerprint differently: %x vs %x", a.Fingerprint, b.Fingerprint)
+	if a != b {
+		t.Fatalf("identical runs fingerprint differently: %x vs %x", a, b)
 	}
-	if a.Fingerprint == 0 {
+	if a == 0 {
 		t.Fatal("suspicious zero fingerprint")
 	}
 }
 
 func TestFingerprintOffByDefault(t *testing.T) {
-	sys := buildCounter(&keyedReg{name: "c"})
-	res, err := sys.Run(Config{DisableTrace: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.FingerprintOK {
+	if _, ok := finalHash(t, buildCounter(&keyedReg{name: "c"}), Config{DisableTrace: true}); ok {
 		t.Fatal("fingerprint reported OK without Config.Fingerprint")
 	}
 }
 
 func TestFingerprintRequiresStateKeyers(t *testing.T) {
-	sys := buildCounter(&unkeyedReg{keyedReg{name: "c"}})
-	res, err := sys.Run(Config{Fingerprint: true, DisableTrace: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.FingerprintOK {
+	if _, ok := finalHash(t, buildCounter(&unkeyedReg{keyedReg{name: "c"}}), Config{Fingerprint: true, DisableTrace: true}); ok {
 		t.Fatal("fingerprint reported OK with a non-StateKeyer object")
 	}
 }
@@ -88,26 +86,21 @@ func TestFingerprintRequiresStateKeyers(t *testing.T) {
 // TestStateHashSeparatesSchedules: runs under different schedules that
 // produce different observations must hash differently.
 func TestStateHashSeparatesSchedules(t *testing.T) {
-	run := func(order []ProcID) *Result {
-		sys := buildCounter(&keyedReg{name: "c"})
-		res, err := sys.Run(Config{
+	run := func(order []ProcID) (uint64, bool) {
+		return finalHash(t, buildCounter(&keyedReg{name: "c"}), Config{
 			Scheduler:    Replay(order),
 			Fingerprint:  true,
 			DisableTrace: true,
 		})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return res
 	}
 	// Sequential: both increments land (final value 2). Racing reads:
 	// both read 0, final value 1 — different state, different history.
-	a := run([]ProcID{0, 0, 1, 1})
-	b := run([]ProcID{0, 1, 0, 1})
-	if !a.FingerprintOK || !b.FingerprintOK {
+	a, aok := run([]ProcID{0, 0, 1, 1})
+	b, bok := run([]ProcID{0, 1, 0, 1})
+	if !aok || !bok {
 		t.Fatal("fingerprints unavailable")
 	}
-	if a.Fingerprint == b.Fingerprint {
-		t.Fatalf("distinct final states share a fingerprint: %x", a.Fingerprint)
+	if a == b {
+		t.Fatalf("distinct final states share a fingerprint: %x", a)
 	}
 }

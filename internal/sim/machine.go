@@ -111,6 +111,9 @@ func (s *Snap) Reset() { s.Truncate(0, 0) }
 // Uint64 appends one machine word.
 func (s *Snap) Uint64(v uint64) { s.words = append(s.words, v) }
 
+// Uint64s appends a run of machine words in one copy.
+func (s *Snap) Uint64s(ws []uint64) { s.words = append(s.words, ws...) }
+
 // Int appends v as its two's-complement word image.
 func (s *Snap) Int(v int) { s.Uint64(uint64(v)) }
 
@@ -143,6 +146,12 @@ func (r *SnapReader) Uint64() uint64 {
 	v := r.s.words[r.w]
 	r.w++
 	return v
+}
+
+// Uint64s fills dst with the next len(dst) words, the read-back of a
+// run written by Snap.Uint64s.
+func (r *SnapReader) Uint64s(dst []uint64) {
+	r.w += copy(dst, r.s.words[r.w:r.w+len(dst)])
 }
 
 // Int reads the next word as an int.
@@ -459,9 +468,7 @@ func (m *MachineExec) Snapshot(sn *Snap) {
 		sn.Bool(p.done)
 		sn.Bool(p.crashed)
 		sn.Uint64(p.opHash)
-		for _, h := range p.permHash {
-			sn.Uint64(h)
-		}
+		sn.Uint64s(p.permHash)
 		sn.Value(p.value)
 		sn.Value(p.err)
 		p.machine.Save(sn)
@@ -487,9 +494,7 @@ func (m *MachineExec) Restore(r SnapReader) {
 		p.done = r.Bool()
 		p.crashed = r.Bool()
 		p.opHash = r.Uint64()
-		for i := range p.permHash {
-			p.permHash[i] = r.Uint64()
-		}
+		r.Uint64s(p.permHash)
 		p.value = r.Value()
 		if e := r.Value(); e != nil {
 			p.err = e.(error)

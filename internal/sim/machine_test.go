@@ -65,15 +65,23 @@ func casLoopMachines(rounds int) *sim.System {
 	return sys
 }
 
-// sameResult asserts the observable fields of two Results are
-// identical (errors compared by rendering).
-func sameResult(t *testing.T, label string, a, b *sim.Result) {
+// finalRun is a finished run: its Result and the fingerprint of the
+// final state.
+type finalRun struct {
+	*sim.Result
+	fp   uint64
+	fpOK bool
+}
+
+// sameResult asserts the observable fields and final fingerprints of
+// two runs are identical (errors compared by rendering).
+func sameResult(t *testing.T, label string, a, b finalRun) {
 	t.Helper()
 	if a.TotalSteps != b.TotalSteps || a.Halted != b.Halted {
 		t.Fatalf("%s: totals differ: (%d,%v) vs (%d,%v)", label, a.TotalSteps, a.Halted, b.TotalSteps, b.Halted)
 	}
-	if a.Fingerprint != b.Fingerprint || a.FingerprintOK != b.FingerprintOK {
-		t.Fatalf("%s: fingerprints differ: %x/%v vs %x/%v", label, a.Fingerprint, a.FingerprintOK, b.Fingerprint, b.FingerprintOK)
+	if a.fp != b.fp || a.fpOK != b.fpOK {
+		t.Fatalf("%s: fingerprints differ: %x/%v vs %x/%v", label, a.fp, a.fpOK, b.fp, b.fpOK)
 	}
 	for i := range a.Values {
 		if fmt.Sprint(a.Values[i]) != fmt.Sprint(b.Values[i]) ||
@@ -140,7 +148,7 @@ func TestMachineRunMatchesGoroutine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(sys *sim.System) *sim.Result {
+			run := func(sys *sim.System) finalRun {
 				cfg := sim.Config{
 					Scheduler:       tc.sched(),
 					Fingerprint:     true,
@@ -155,7 +163,8 @@ func TestMachineRunMatchesGoroutine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
+				fp, ok := sys.StateHash()
+				return finalRun{res, fp, ok}
 			}
 			machines := run(casLoopMachines(6))
 			programs := run(casLoop(6))
@@ -254,7 +263,8 @@ func TestMachineSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1, v1 := res1.Fingerprint, fmt.Sprint(res1.Values)
+	fp1, _ := sys.StateHash()
+	v1 := fmt.Sprint(res1.Values)
 
 	// Restore the initial snapshot and re-run: identical completion.
 	me.Restore(snap.ReaderAt(0, 0))
@@ -262,8 +272,8 @@ func TestMachineSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Fingerprint != fp1 || fmt.Sprint(res2.Values) != v1 {
-		t.Fatalf("restored run differs: %x %v vs %x %v", res2.Fingerprint, res2.Values, fp1, v1)
+	if fp2, _ := sys.StateHash(); fp2 != fp1 || fmt.Sprint(res2.Values) != v1 {
+		t.Fatalf("restored run differs: %x %v vs %x %v", fp2, res2.Values, fp1, v1)
 	}
 }
 
@@ -391,13 +401,14 @@ func TestMachineSnapshotMidRun(t *testing.T) {
 	if !took {
 		t.Fatal("snapshot point never reached")
 	}
-	fp1, v1 := res1.Fingerprint, fmt.Sprint(res1.Values)
+	fp1, _ := sys.StateHash()
+	v1 := fmt.Sprint(res1.Values)
 	me.Restore(snap.ReaderAt(0, 0))
 	res2, err := me.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Fingerprint != fp1 || fmt.Sprint(res2.Values) != v1 {
-		t.Fatalf("mid-run restore diverged: %x %v vs %x %v", res2.Fingerprint, res2.Values, fp1, v1)
+	if fp2, _ := sys.StateHash(); fp2 != fp1 || fmt.Sprint(res2.Values) != v1 {
+		t.Fatalf("mid-run restore diverged: %x %v vs %x %v", fp2, res2.Values, fp1, v1)
 	}
 }

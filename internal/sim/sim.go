@@ -193,8 +193,8 @@ type Config struct {
 	// DisableTrace turns off event recording (useful in benchmarks).
 	DisableTrace bool
 	// Fingerprint enables per-step observation hashing so that
-	// System.StateHash (and Result.Fingerprint) are available. Off by
-	// default: hashing costs a few string formats per shared step.
+	// System.StateHash is available, mid-run at decision points or on
+	// the final state after Run returns. Off by default.
 	Fingerprint bool
 	// Canon, if set (and Fingerprint is on), additionally maintains the
 	// per-permutation observation hashes that System.StateHashCanon
@@ -242,12 +242,6 @@ type Result struct {
 	ReadyAtHalt []ProcID
 	// Trace is the recorded event history (nil if disabled).
 	Trace *Trace
-	// Fingerprint is the hash of the final global state (object state
-	// keys plus per-process observation histories), valid only when
-	// FingerprintOK: Config.Fingerprint was set and every object
-	// implements StateKeyer. See System.StateHash.
-	Fingerprint   uint64
-	FingerprintOK bool
 }
 
 // Decided returns the IDs of processes that produced a decision.
@@ -327,7 +321,6 @@ func (s *System) buildResult(cfg *Config, ready []ProcID, halted bool) *Result {
 			s.kill(s.procs[id], ErrHalted)
 		}
 	}
-	res.Fingerprint, res.FingerprintOK = s.StateHash()
 	for i, p := range s.procs {
 		res.Values[i] = p.value
 		res.Errors[i] = p.err

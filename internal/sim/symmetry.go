@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,29 +182,25 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("sim: symmetry: system has no processes")
 	}
-	encode := func(p []ProcID) string {
-		var b strings.Builder
-		for _, id := range p {
-			fmt.Fprintf(&b, "%d,", id)
-		}
-		return b.String()
-	}
-	seen := make(map[string]int, len(spec.Perms))
+	seen := make(map[string]struct{}, len(spec.Perms))
+	var key []byte
+	hit := make([]bool, n)
 	for k, p := range spec.Perms {
 		if len(p) != n {
 			return nil, fmt.Errorf("sim: symmetry: permutation %d has length %d, system has %d processes", k, len(p), n)
 		}
-		hit := make([]bool, n)
+		clear(hit)
 		for _, id := range p {
 			if id < 0 || int(id) >= n || hit[id] {
 				return nil, fmt.Errorf("sim: symmetry: permutation %d (%v) is not a bijection of 0..%d", k, p, n-1)
 			}
 			hit[id] = true
 		}
-		if _, dup := seen[encode(p)]; dup {
+		key = permKey(key[:0], p)
+		if _, dup := seen[string(key)]; dup {
 			return nil, fmt.Errorf("sim: symmetry: duplicate permutation %v", p)
 		}
-		seen[encode(p)] = k
+		seen[string(key)] = struct{}{}
 	}
 	for i, id := range spec.Perms[0] {
 		if int(id) != i {
@@ -213,14 +210,19 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 	// Closure under composition: without it the canonical orientation
 	// is not a true quotient (Canonical(π(s)) could differ from
 	// Canonical(s)) and the reduction silently stops merging classes.
-	comp := make([]ProcID, n)
-	for _, a := range spec.Perms {
-		for _, b := range spec.Perms {
-			for i := range comp {
-				comp[i] = a[b[i]]
-			}
-			if _, ok := seen[encode(comp)]; !ok {
-				return nil, fmt.Errorf("sim: symmetry: permutation set not closed under composition (%v∘%v missing)", a, b)
+	// n! distinct permutations of n processes are all of S_n, which is
+	// closed; any smaller set is checked pair by pair.
+	if len(spec.Perms) != factorial(n) {
+		comp := make([]ProcID, n)
+		for _, a := range spec.Perms {
+			for _, b := range spec.Perms {
+				for i := range comp {
+					comp[i] = a[b[i]]
+				}
+				key = permKey(key[:0], comp)
+				if _, ok := seen[string(key)]; !ok {
+					return nil, fmt.Errorf("sim: symmetry: permutation set not closed under composition (%v∘%v missing)", a, b)
+				}
 			}
 		}
 	}
@@ -296,6 +298,28 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 	return c, nil
 }
 
+// permKey appends p's map key to buf: the decimal IDs, comma-ended.
+func permKey(buf []byte, p []ProcID) []byte {
+	for _, id := range p {
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, ',')
+	}
+	return buf
+}
+
+// factorial returns n!, or -1 where n! overflows an int; no slice of
+// permutations is that long.
+func factorial(n int) int {
+	f := 1
+	for i := 2; i <= n; i++ {
+		if f > math.MaxInt/i {
+			return -1
+		}
+		f *= i
+	}
+	return f
+}
+
 // NumPerms returns the size of the permutation group.
 func (c *Canonicalizer) NumPerms() int { return len(c.perms) }
 
@@ -321,33 +345,34 @@ func (c *Canonicalizer) foldOpPerms(p *proc, result Value) {
 	}
 }
 
-// stateHashUnder folds — from scratch — the global state the system
-// WOULD have in the π_k-renamed execution, as the XOR combination of
-// the per-permutation components (see fingerprint.go): renamed-name-
-// salted object folds with renamed values, renamed-slot-salted process
-// folds with the per-permutation observation hashes. By the
-// PermStateFolder contract each object component equals the identity
-// component of the renamed object, and XOR makes the combination
-// order-free, so comparing combinations across k compares renamed
-// states. canonSeed (≠ plainSeed) keeps this keyspace disjoint from
-// plain StateHash — a census may legitimately mix both (see the
-// StateHashCanon bail-out).
+// stateHashUnder folds — from scratch — the global state s WOULD have
+// in the π_k-renamed execution, as the XOR combination of the
+// per-permutation components (see fingerprint.go): renamed-name-salted
+// object folds with renamed values, renamed-slot-salted process folds
+// with the per-permutation observation hashes. By the PermStateFolder
+// contract each object component equals the identity component of the
+// renamed object, and XOR makes the combination order-free, so
+// comparing combinations across k compares renamed states. canonSeed
+// (≠ plainSeed) keeps this keyspace disjoint from plain StateHash — a
+// census may legitimately mix both (see the StateHashCanon bail-out).
 //
 // This is the canonical keyspace's from-scratch reference: AuditSymmetry
 // compares executions through it, and Config.VerifyFingerprints checks
-// the incrementally maintained canonHash vector against it.
-func (s *System) stateHashUnder(k int) (uint64, bool) {
-	c := s.canon
+// the incrementally maintained canonHash vector against it. A
+// non-identity k needs s to have run with c as its Config.Canon (for
+// the per-permutation observation hashes); k = 0 needs only
+// Config.Fingerprint.
+func (c *Canonicalizer) stateHashUnder(s *System, k int) (uint64, bool) {
 	h := canonSeed
 	for oi := range c.names {
-		comp, ok := s.fpCanonObjComp(k, oi)
+		comp, ok := c.objCompUnder(s, k, oi)
 		if !ok {
 			return 0, false
 		}
 		h ^= mix64(comp)
 	}
 	for i := range s.procs {
-		h ^= mix64(s.fpCanonProcComp(k, i))
+		h ^= mix64(c.procCompUnder(s, k, i))
 	}
 	return h, true
 }
@@ -475,6 +500,14 @@ func auditDecisionKey(res *Result, rename func(Value, []ProcID) Value, perm []Pr
 // explorer's license to enable symmetry reduction; any failure means
 // the spec (or the protocol) is not symmetric and reduction must stay
 // off.
+//
+// Only the base runs carry c as their Config.Canon: comparing against
+// every π_k image needs the per-permutation observation hashes. A twin
+// is compared through its identity image alone, so it runs with plain
+// fingerprinting and its image is folded once, from scratch, after the
+// run. Neither side keeps canonical vectors (nothing reads them
+// mid-run), so the audit costs rounds·|G| short runs plus
+// 2·rounds·(|G|−1) from-scratch folds of a final state.
 func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int) error {
 	if rounds <= 0 {
 		rounds = 1
@@ -504,14 +537,14 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 		baseKey := auditDecisionKey(bres, nil, nil)
 		for k := 1; k < c.NumPerms(); k++ {
 			perm := c.perms[k]
-			fpK, ok := base.stateHashUnder(k)
+			fpK, ok := c.stateHashUnder(base, k)
 			if !ok {
 				return fmt.Errorf("symmetry audit: object lost PermStateFolder support mid-run")
 			}
 			twin := build()
 			rp := &auditReplay{picks: rec.picks, perm: perm}
 			tres, err := twin.Run(Config{
-				Scheduler: rp, Fingerprint: true, Canon: c,
+				Scheduler: rp, Fingerprint: true,
 				MaxTotalSteps: maxSteps, DisableTrace: true,
 			})
 			if err != nil {
@@ -520,7 +553,7 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 			if rp.dead {
 				return fmt.Errorf("symmetry audit: protocol not equivariant: schedule renamed under %v diverged (renamed pick not ready)", perm)
 			}
-			fp0, ok := twin.stateHashUnder(0)
+			fp0, ok := c.stateHashUnder(twin, 0)
 			if !ok {
 				return fmt.Errorf("symmetry audit: object lost PermStateFolder support mid-run")
 			}

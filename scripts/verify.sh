@@ -36,9 +36,23 @@ echo "== supervisor tests under the race detector (chaos, watchdog, cancellation
 go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry' \
 	./internal/explore/
 
-echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation)"
-go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant' \
+echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation, spec and audit refusals, subgroup specs)"
+go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant|Refusals|Subgroup' \
 	./internal/explore/ ./internal/sim/
+
+echo "== symmetry spec fuzzing: NewCanonicalizer must accept exactly the permutation groups"
+go test -run '^$' -fuzz '^FuzzNewCanonicalizer$' -fuzztime 10s ./internal/sim/
+
+echo "== symmetry at n=6: the reduced census of cas k=7 n=6 must count what plain pruning counts"
+n6json="$(go run ./cmd/explore -protocol cas -k 7 -n 6 -crashes 1 -symmetry -sleepsets \
+	-maxruns 4611686018427387904 -bivalence=false -json)"
+for want in '"complete": 26435341132200000' '"violation_runs": 0' '"exhaustive": true' '"symmetry_on": true'; do
+	if ! printf '%s\n' "$n6json" | grep -qF "$want"; then
+		echo "verify: FAIL — the n=6 symmetry census lacks $want:" >&2
+		printf '%s\n' "$n6json" >&2
+		exit 1
+	fi
+done
 
 echo "== reduction smoke: reduced census must match unreduced bit-for-bit (fast tier)"
 go test -count=1 -run 'TestReducedCensusMatchesUnreduced' ./internal/explore/
