@@ -40,7 +40,7 @@ func run() error {
 	bivalence := flag.Bool("bivalence", true, "trace the greedy bivalence path")
 	workers := flag.Int("workers", 1, "exploration workers (0 or 1 sequential, -1 = GOMAXPROCS)")
 	prune := flag.Bool("prune", false, "enable state-fingerprint subtree pruning for the census")
-	pruneBudget := flag.Int("prunebudget", 0, "prune-table entry budget, FIFO-evicted beyond it (0 = default cap)")
+	pruneBudget := flag.Int("prunebudget", 0, "prune-table entry budget; at it a new entry evicts the entry of its bucket that was cheapest to walk (0 = default cap)")
 	symmetry := flag.Bool("symmetry", false, "canonicalize fingerprints under declared process symmetry (implies -prune; audited per protocol, silently off with a note if the protocol declares none)")
 	sleepsets := flag.Bool("sleepsets", false, "skip re-exploration of independent-step commutations via the prune table (implies -prune)")
 	verifyfp := flag.Bool("verifyfp", false, "audit the incremental fingerprint caches: cross-check every granted step's plain and canonical hashes against from-scratch recomputes, panicking on divergence (slow; for verification runs)")
@@ -157,16 +157,23 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "explore:", msg)
 	}
 
-	// The valence and bivalence analyses re-explore from scratch; once
-	// the deadline or an interrupt has fired there is no budget for them.
-	// JSON mode skips them: stdout carries exactly one JSON object.
+	// The valence and bivalence analyses re-explore the crash-free tree
+	// from scratch, under the census's reducers; once the deadline or an
+	// interrupt has fired there is no budget for them. JSON mode skips
+	// them: stdout carries exactly one JSON object.
+	reduced := func(maxRuns int) explore.Options {
+		return explore.Options{
+			MaxRuns: maxRuns, Context: ctx, Prune: opts.Prune, Symmetry: opts.Symmetry,
+			SleepSets: opts.SleepSets, PruneTableEntries: opts.PruneTableEntries,
+		}
+	}
 	if !*jsonOut && ctx.Err() == nil {
-		v := explore.Valence(builder, explore.Options{MaxRuns: *maxRuns / 4, Context: ctx}, nil)
+		v := explore.Valence(builder, reduced(*maxRuns/4), nil)
 		fmt.Println("initial valence:", explore.ValenceString(v))
 	}
 
 	if !*jsonOut && *bivalence && ctx.Err() == nil {
-		path, still := explore.BivalencePath(builder, explore.Options{MaxRuns: *maxRuns / 16, Context: ctx}, 12)
+		path, still := explore.BivalencePath(builder, reduced(*maxRuns/16), 12)
 		if still {
 			fmt.Printf("bivalence path ran the full 12 steps and is STILL bivalent: %s\n",
 				explore.FormatSchedule(path))

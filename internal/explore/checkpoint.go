@@ -22,8 +22,9 @@ import (
 // settled — every item of its subtree resolved — so a resumed run
 // credits recorded roots and re-explores the rest, landing on the exact
 // census a single uninterrupted run produces. Representative violation
-// outcomes are persisted as schedules and rebuilt by replay on load, so
-// the file stays small and plain JSON.
+// outcomes are persisted as schedules, as every summary keeps them, and
+// the census replays the ones it reports, so the file stays small and
+// plain JSON.
 
 // Checkpoint configures RunCheckpointed.
 type Checkpoint struct {
@@ -152,9 +153,9 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 		unsaved = 0
 		return nil
 	}
-	c, cfg := poolCensus(ctx, pl, table, resumed, func(i int, s *summary, capped bool) {
+	c, cfg := poolCensus(ctx, pl, table, resumed, func(i int, r RootSummary) {
 		saveMu.Lock()
-		done[i] = s.record(capped)
+		done[i] = r
 		newly++
 		unsaved++
 		if unsaved >= every {

@@ -105,25 +105,35 @@ type RootSummary struct {
 	Err string `json:"err,omitempty"`
 }
 
-// record flattens a summary into its persisted form.
-func (s *summary) record(capped bool) RootSummary {
+// record flattens a summary into its persisted form: outcome IDs
+// become their fingerprints and counts saturate at math.MaxInt.
+func (s *summary) record(ids *outcomeIDs, modes []sim.FaultMode, capped bool) RootSummary {
 	r := RootSummary{
-		Complete: s.complete, Incomplete: s.incomplete, Outcomes: s.outcomes,
-		Violations: s.violations, Capped: capped,
+		Complete: s.complete.int(), Incomplete: s.incomplete.int(),
+		Violations: s.violations.int(), Capped: capped,
 	}
-	for _, rep := range s.reps {
-		r.Reps = append(r.Reps, rep.Schedule)
+	if len(s.outs) > 0 {
+		r.Outcomes = make(map[string]int, len(s.outs))
+		for _, o := range s.outs {
+			r.Outcomes[ids.key(o.id)] = o.n.int()
+		}
+	}
+	for _, key := range s.reps {
+		r.Reps = append(r.Reps, scheduleOf(key, modes))
 	}
 	return r
 }
 
-// summary rebuilds a summary from its persisted form, replaying the
-// recorded representative schedules to recover their Results.
-func (r RootSummary) summary(b Builder, opts Options) *summary {
-	s := &summary{complete: r.Complete, incomplete: r.Incomplete, outcomes: r.Outcomes, violations: r.Violations}
+// summary rebuilds a summary from its persisted form. The recorded
+// representatives stay schedules; censusFrom replays the ones a census
+// keeps.
+func (r RootSummary) summary(ids *outcomeIDs, modes []sim.FaultMode) *summary {
+	s := &summary{complete: wideOf(r.Complete), incomplete: wideOf(r.Incomplete), violations: wideOf(r.Violations)}
+	for key, n := range r.Outcomes {
+		s.addOutcome(ids.intern(key), wideOf(n))
+	}
 	for _, sched := range r.Reps {
-		res, _ := replayPrefix(b, opts, sched)
-		s.addRep(&rep{Outcome: Outcome{Schedule: sched, Result: res}, key: dfsKey(sched, opts.FaultModes)})
+		s.addRep(dfsKey(sched, modes))
 	}
 	return s
 }
@@ -246,19 +256,29 @@ func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, bo
 // Census.Prune is nil: prune counters are per-process telemetry and do
 // not aggregate across workers.
 func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *Census {
-	c, orbitSkips := p.fold(newSummary(), func(i int) (*summary, bool, bool) {
+	ids := newOutcomeIDs()
+	total := newSummary()
+	f := p.fold(total, ids, func(i int) (*summary, bool, bool) {
 		r, ok := done[i]
 		if !ok {
 			return nil, false, false
 		}
-		return r.summary(p.b, p.opts), r.Capped, true
+		return r.summary(ids, p.opts.FaultModes), r.Capped, true
 	}, failed)
+	c := p.census(total, ids, f)
 	if p.orbit != nil {
-		st := &PruneStats{OrbitSkips: orbitSkips}
+		st := &PruneStats{OrbitSkips: f.orbitSkips}
 		p.opts.markReducers(st)
 		c.Prune = st
 	}
 	return c
+}
+
+// folded is what fold learned besides the counts it merged.
+type folded struct {
+	exhaustive, cancelled bool
+	failures              []RootFailure
+	orbitSkips            uint64
 }
 
 // fold is the one root-order merge behind every split census: the pool
@@ -266,52 +286,57 @@ func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *
 // walks the frontier in DFS order into total, classifying leaves and
 // merging each root's summary, where root(i) reports root i's summary,
 // whether an item of it hit MaxRuns, and whether the summary covers the
-// whole subtree (settled). An orbit twin without a settled summary of
-// its own is credited its representative's, renamed into the twin's
+// whole subtree (settled). ids interns the outcome IDs of total and of
+// every summary root returns. An orbit twin without a settled summary
+// of its own is credited its representative's, renamed into the twin's
 // orientation, and counted in orbitSkips; a twin of a lost
 // representative shares the rep's recorded deficit. A failed root
 // contributes nothing. A root neither settled nor failed leaves the
 // census cancelled, though any partial count it carries is merged.
-func (p *DistPlan) fold(total *summary, root func(i int) (s *summary, capped, settled bool),
-	failed map[int]RootFailure) (c *Census, orbitSkips uint64) {
-	exhaustive, cancelled := true, false
-	var failures []RootFailure
+func (p *DistPlan) fold(total *summary, ids *outcomeIDs, root func(i int) (s *summary, capped, settled bool),
+	failed map[int]RootFailure) folded {
+	f := folded{exhaustive: true}
 	for i, it := range p.items {
 		if it.prefix == nil {
-			total.addTerminal(*it.leaf, p.check, p.opts.FaultModes)
+			total.addTerminal(*it.leaf, ids, p.check, p.opts.FaultModes)
 			continue
 		}
-		if f, lost := failed[i]; lost {
-			failures = append(failures, f)
-			exhaustive = false
+		if fail, lost := failed[i]; lost {
+			f.failures = append(f.failures, fail)
+			f.exhaustive = false
 			continue
 		}
 		s, capped, settled := root(i)
 		if !settled && p.orbit != nil && p.orbit.rep[i] != i {
 			j := p.orbit.rep[i]
 			if _, lost := failed[j]; lost {
-				exhaustive = false // the rep's failure records the deficit
+				f.exhaustive = false // the rep's failure records the deficit
 				continue
 			}
 			if s, capped, settled = root(j); settled {
-				total.mergeRenamed(s, orbitRenamerRaw(p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
-				orbitSkips++
+				total.merge(s, orbitRenamer(ids, p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
+				f.orbitSkips++
 			}
 		} else if s != nil {
-			total.merge(s)
+			total.merge(s, nil)
 		}
 		switch {
 		case !settled:
-			exhaustive, cancelled = false, true
+			f.exhaustive, f.cancelled = false, true
 		case capped:
-			exhaustive = false
+			f.exhaustive = false
 		}
 	}
-	c = censusFrom(total, exhaustive)
-	c.FailedRoots = failures
-	c.Errors = failureStrings(failures)
-	c.Cancelled = cancelled
-	return c, orbitSkips
+	return f
+}
+
+// census turns a fold into the Census.
+func (p *DistPlan) census(total *summary, ids *outcomeIDs, f folded) *Census {
+	c := censusFrom(total, ids, p.b, p.opts, f.exhaustive)
+	c.FailedRoots = f.failures
+	c.Errors = failureStrings(f.failures)
+	c.Cancelled = f.cancelled
+	return c
 }
 
 // FingerprintOptions resolves opts against b (defaults plus the
@@ -453,17 +478,12 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	// Deterministic merge in DFS sub-root order — identical to the
 	// monolithic walk of the same subtree in every count and in the
 	// first ≤MaxRecordedViolations representatives.
-	c, _ := sub.fold(newSummary(), func(i int) (*summary, bool, bool) {
-		return done[i].summary(b, opts), done[i].Capped, true
+	ids := newOutcomeIDs()
+	total := newSummary()
+	f := sub.fold(total, ids, func(i int) (*summary, bool, bool) {
+		return done[i].summary(ids, opts.FaultModes), done[i].Capped, true
 	}, nil)
-	out := RootSummary{
-		Complete: c.Complete, Incomplete: c.Incomplete, Outcomes: c.Outcomes,
-		Violations: c.ViolationRuns, Capped: !c.Exhaustive,
-	}
-	for _, v := range c.Violations {
-		out.Reps = append(out.Reps, v.Schedule)
-	}
-	return out, stats, nil
+	return total.record(ids, opts.FaultModes, !f.exhaustive || total.saturated()), stats, nil
 }
 
 // exploreRoot fully explores one subtree on the calling goroutine;
@@ -475,5 +495,5 @@ func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.R
 	if en.cancelled {
 		return RootSummary{}, true
 	}
-	return en.acc.record(en.capped), false
+	return en.acc.record(en.ids, opts.FaultModes, en.capped), false
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/sim"
@@ -24,8 +25,9 @@ import (
 // warm-up: frames store their ready sets as offsets into an
 // engine-owned arena, subtree summaries cycle through a freelist, the
 // prober is embedded and reset in place, and sim Results land in a
-// pooled sim.Scratch that is only abandoned (to a fresh one) when a
-// violation representative retains it.
+// pooled sim.Scratch. No Result outlives its run: a violating run is
+// recorded as its schedule's dfsKey and replayed once for the census
+// (censusFrom).
 type engine struct {
 	b    Builder
 	opts Options
@@ -36,11 +38,14 @@ type engine struct {
 	visit func(Outcome) bool
 	acc   *summary
 	check func(*sim.Result) error
+	// ids interns the outcome IDs of the census's summaries; run takes
+	// the table's, or a fresh one, when none is given.
+	ids *outcomeIDs
 	// table enables transposition pruning (census mode only).
 	table *pruneTable
 	// canon, when non-nil (and table is set), switches the table keys to
 	// symmetry-canonical fingerprints: frames remember their canonical
-	// orientation (frame.permIdx) so publishes rename outcome keys INTO
+	// orientation (frame.permIdx) so publishes rename outcome IDs INTO
 	// canonical coordinates and hits rename them back OUT. Resolved once
 	// per census by resolveSymmetry, shared read-only by all workers.
 	canon *sim.Canonicalizer
@@ -125,6 +130,10 @@ type engine struct {
 	// supervisor's progress heartbeat.
 	onStep func()
 
+	// probes numbers this walk's probes: a frame's subtree cost is the
+	// count taken between its push and its pop.
+	probes uint64
+
 	// runs counts delivered terminal runs (visit mode) or credited runs
 	// including memoized subtrees (census mode), saturating at
 	// math.MaxInt.
@@ -159,6 +168,8 @@ type frame struct {
 	// snaps arena (machine mode only): restoring it puts the system back
 	// at this frame, ready to take a different edge.
 	snapW, snapV int
+	// probe0 is the engine's probe number when the frame was pushed.
+	probe0 uint64
 }
 
 // scratchPool recycles sim.Scratch buffers across census engines.
@@ -179,6 +190,13 @@ func (en *engine) run() {
 	if en.acc != nil && en.scratch == nil {
 		en.scratch = scratchPool.Get().(*sim.Scratch)
 	}
+	if en.acc != nil && en.ids == nil {
+		if en.table != nil {
+			en.ids = en.table.ids
+		} else {
+			en.ids = newOutcomeIDs()
+		}
+	}
 	if en.table != nil {
 		en.canon = en.opts.canon
 		en.sleep = en.opts.SleepSets
@@ -192,20 +210,8 @@ func (en *engine) run() {
 			en.cancelled = true
 			break
 		}
-		res, pruned := en.probe()
-		if pruned != nil {
-			// A hit found under canonical keys may match at a different
-			// orientation than the stored subtree was published in; the
-			// stored outcome keys are in canonical coordinates, so merge
-			// them back through the INVERSE of this node's orientation.
-			if en.canon != nil && en.pr.prunedPerm != 0 {
-				en.parentAcc().mergeRenamed(pruned, en.canon.OutcomeRenamerInv(en.pr.prunedPerm))
-				en.table.symHits.Add(1)
-			} else {
-				en.parentAcc().merge(pruned)
-			}
-			en.runs = satAdd(en.runs, pruned.runs())
-		} else {
+		// A probe that hit the table was credited by the prober.
+		if res, hit := en.probe(); !hit {
 			en.terminal(res)
 		}
 		if en.capped || en.stopped {
@@ -226,9 +232,8 @@ func (en *engine) run() {
 	en.release()
 }
 
-// release returns the engine's scratch to the pool. Any Result
-// retained as a violation representative already triggered a scratch
-// swap in terminal(), so the buffer returned here is never aliased.
+// release returns the engine's scratch to the pool; no Result a census
+// keeps aliases it.
 func (en *engine) release() {
 	if en.scratch != nil {
 		scratchPool.Put(en.scratch)
@@ -238,14 +243,16 @@ func (en *engine) release() {
 
 // probe executes one root-to-terminal descent: replay the committed
 // choices, then keep taking the first ready process — pushing a frame
-// per new decision point — until a terminal run or a table hit. In
-// machine mode the replay is a snapshot restore; otherwise the system
-// is rebuilt and the prefix re-run.
-func (en *engine) probe() (*sim.Result, *summary) {
+// per new decision point — until a terminal run or a table hit (hit:
+// the subtree was credited, and the Result means nothing). In machine
+// mode the replay is a snapshot restore; otherwise the system is
+// rebuilt and the prefix re-run.
+func (en *engine) probe() (res *sim.Result, hit bool) {
 	if !en.meTried {
 		en.meTried = true
 		en.initMachine()
 	}
+	en.probes++
 	if en.table != nil {
 		en.table.probes.Add(1)
 	}
@@ -266,7 +273,7 @@ func (en *engine) probe() (*sim.Result, *summary) {
 		panic(fmt.Sprintf("explore: builder is nondeterministic: planned pick not ready (schedule %s)",
 			FormatSchedule(en.plan[:p.i])))
 	}
-	return res, p.pruned
+	return res, p.hit
 }
 
 // simConfig is the per-probe sim configuration; the prober (a stable
@@ -316,7 +323,7 @@ func (en *engine) initMachine() {
 // snapshot (the decision point the new edge leaves from), hand the
 // prober just that edge as its plan, and resume execution in place.
 // Only the probe's NEW steps are simulated — each tree edge runs once.
-func (en *engine) probeMachine() (*sim.Result, *summary) {
+func (en *engine) probeMachine() (*sim.Result, bool) {
 	if d := len(en.frames) - 1; d >= 0 {
 		f := &en.frames[d]
 		en.me.Restore(en.snaps.ReaderAt(f.snapW, f.snapV))
@@ -341,30 +348,43 @@ func (en *engine) probeMachine() (*sim.Result, *summary) {
 		panic(fmt.Sprintf("explore: builder is nondeterministic: planned pick not ready (schedule %s)",
 			FormatSchedule(en.plan[:en.pr.i])))
 	}
-	return res, en.pr.pruned
+	return res, en.pr.hit
 }
 
 // terminal delivers or accumulates one terminal run.
 func (en *engine) terminal(res *sim.Result) {
 	en.runs++
-	sched := make([]Choice, len(en.root)+len(en.path))
-	n := copy(sched, en.root)
-	copy(sched[n:], en.path)
-	o := Outcome{Schedule: sched, Result: res}
 	if en.visit != nil {
-		if !en.visit(o) {
+		sched := make([]Choice, len(en.root)+len(en.path))
+		n := copy(sched, en.root)
+		copy(sched[n:], en.path)
+		if !en.visit(Outcome{Schedule: sched, Result: res}) {
 			en.stopped = true
 		}
 		return
 	}
-	if en.parentAcc().addTerminal(o, en.check, en.opts.FaultModes) && en.scratch != nil {
-		// The Outcome was kept as a violation representative and its
-		// Result aliases the scratch: abandon the scratch to it and
-		// continue on a fresh one.
-		en.scratch = scratchPool.Get().(*sim.Scratch)
-		if en.me != nil {
-			en.me.SetScratch(en.scratch)
+	// The schedule is only read (a violation keeps its dfsKey), so the
+	// plan buffer, idle between probes, holds it.
+	en.plan = append(append(en.plan[:0], en.root...), en.path...)
+	en.parentAcc().addTerminal(Outcome{Schedule: en.plan, Result: res}, en.ids, en.check, en.opts.FaultModes)
+}
+
+// credit merges the table's summary under key, found at canonical
+// orientation permIdx, into acc and counts its runs. A hit under
+// canonical keys may match at a different orientation than the stored
+// subtree was published in; the stored outcome IDs are in canonical
+// coordinates, so they merge back through the INVERSE of permIdx.
+func (en *engine) credit(key tableKey, permIdx int, acc *summary) bool {
+	for {
+		ren := en.ids.renamer(en.canon, permIdx, true)
+		runs, hit, short := en.table.get(key, acc, ren)
+		if short {
+			continue // the entry is newer than ren: extend it and look again
 		}
+		if hit {
+			en.runs = satAdd(en.runs, runs)
+		}
+		return hit
 	}
 }
 
@@ -388,7 +408,7 @@ func (en *engine) getSummary() *summary {
 }
 
 // putSummary recycles a summary that is no longer referenced (merged
-// into its parent, not published to the table).
+// into its parent; the table keeps copies).
 func (en *engine) putSummary(s *summary) {
 	s.reset()
 	en.freeSums = append(en.freeSums, s)
@@ -460,16 +480,9 @@ func (en *engine) creditChild(f *frame, c Choice) bool {
 		if en.skipcheck && en.logged(false, d, c) {
 			return false
 		}
-		s, hit := en.table.get(pr.key)
-		if !hit {
+		if !en.credit(pr.key, int(pr.permIdx), f.acc) {
 			return false
 		}
-		if en.canon != nil && pr.permIdx != 0 {
-			f.acc.mergeRenamed(s, en.canon.OutcomeRenamerInv(int(pr.permIdx)))
-		} else {
-			f.acc.merge(s)
-		}
-		en.runs = satAdd(en.runs, s.runs())
 		en.table.sleepSkips.Add(1)
 		return true
 	}
@@ -584,35 +597,32 @@ func (en *engine) logged(exact bool, depth int, tail ...Choice) bool {
 // popFrame removes the deepest frame, merging its summary into its
 // parent's; publish additionally stores it in the transposition table
 // (only legal when the subtree was fully explored and no children were
-// donated away).
+// donated away), with the probes its walk took as its cost.
 func (en *engine) popFrame(publish bool) {
 	i := len(en.frames) - 1
 	f := &en.frames[i]
 	if f.acc != nil {
-		stored := false
 		if publish && f.hasKey && !f.donated {
-			if en.canon != nil && f.permIdx != 0 {
+			pub := f.acc
+			if ren := en.ids.renamer(en.canon, int(f.permIdx), false); ren != nil {
 				// The key is canonical but this walk accumulated outcome
-				// keys in its own (non-canonical) orientation: publish a
-				// COPY renamed into canonical coordinates, and keep the
+				// IDs in its own (non-canonical) orientation: publish a
+				// copy renamed into canonical coordinates, and keep the
 				// raw accumulator for the parent merge below.
-				pub := en.getSummary()
-				pub.mergeRenamed(f.acc, en.canon.OutcomeRenamer(int(f.permIdx)))
-				if !en.table.put(f.key, pub) {
-					en.putSummary(pub)
-				}
-			} else {
-				stored = en.table.put(f.key, f.acc)
+				pub = en.getSummary()
+				pub.merge(f.acc, ren)
+			}
+			en.table.put(f.key, pub, uint32(min(en.probes-f.probe0+1, math.MaxUint32)))
+			if pub != f.acc {
+				en.putSummary(pub)
 			}
 		}
 		if i > 0 {
-			en.frames[i-1].acc.merge(f.acc)
+			en.frames[i-1].acc.merge(f.acc, nil)
 		} else {
-			en.acc.merge(f.acc)
+			en.acc.merge(f.acc, nil)
 		}
-		if !stored {
-			en.putSummary(f.acc)
-		}
+		en.putSummary(f.acc)
 		f.acc = nil
 	}
 	if f.pairs != nil {
@@ -677,15 +687,12 @@ type prober struct {
 	en      *engine
 	sys     *sim.System
 	plan    []Choice
-	i       int      // next plan index
-	pos     int      // choices consumed so far (plan + auto)
-	crashes int      // crash choices consumed so far
-	faults  int      // object-fault choices consumed so far
-	pruned  *summary // set when a table hit ended the probe
-	// prunedPerm is the canonical orientation the hit node's key was
-	// computed at; run() un-renames the consumed summary through it.
-	prunedPerm int
-	dead       bool // planned pick was not ready (builder bug)
+	i       int  // next plan index
+	pos     int  // choices consumed so far (plan + auto)
+	crashes int  // crash choices consumed so far
+	faults  int  // object-fault choices consumed so far
+	hit     bool // a table hit ended the probe; its subtree is credited
+	dead    bool // planned pick was not ready (builder bug)
 	// pendingFault is armed by Next when the consumed plan choice
 	// carries an object fault and collected by FaultOp from the granted
 	// step. Auto-descent never faults: fault branches exist only
@@ -771,9 +778,11 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 					// a sibling reorder wants it either way.
 					en.recordPair(key, permIdx)
 				}
-				if s, hit := en.table.get(key); hit {
-					p.pruned = s
-					p.prunedPerm = permIdx
+				if en.credit(key, permIdx, en.parentAcc()) {
+					if permIdx != 0 {
+						en.table.symHits.Add(1)
+					}
+					p.hit = true
 					return sim.Halt
 				}
 				f.key, f.hasKey = key, true
@@ -790,6 +799,7 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 		}
 	}
 	f.next = 1 // child 0 is the descent we take right now
+	f.probe0 = en.probes
 	if en.acc != nil {
 		f.acc = en.getSummary()
 	}

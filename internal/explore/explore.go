@@ -110,7 +110,8 @@ type Options struct {
 	// deliver every run.
 	Prune bool
 	// PruneTableEntries bounds the transposition table's entry count;
-	// beyond it the oldest entries are evicted FIFO. Eviction only
+	// at the bound a new entry replaces the entry of its bucket whose
+	// subtree took the fewest probes to walk (see prune.go). Eviction only
 	// weakens pruning (an evicted subtree is re-walked), never the
 	// census counts. Zero means the package default (see prune.go).
 	PruneTableEntries int
@@ -525,7 +526,7 @@ func Run(b Builder, opts Options, check func(*sim.Result) error) *Census {
 	}
 	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}
 	en.run()
-	c := censusFrom(en.acc, !en.capped && !en.cancelled)
+	c := censusFrom(en.acc, en.ids, b, opts, !en.capped && !en.cancelled)
 	c.Cancelled = en.cancelled
 	if table != nil {
 		c.Prune = table.statsSnapshot()

@@ -172,25 +172,24 @@ func (r *orbitReplay) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	return sim.Halt
 }
 
-// orbitRenamerRaw is the translation for crediting a twin from a
-// summary in the REPRESENTATIVE'S OWN coordinates (a distributed
-// RootSummary, never canonicalized): rename into canonical through
-// the rep's orientation, then out through the inverse of the twin's —
-// the publication and consumption steps of the shared-table flow,
-// composed.
-func orbitRenamerRaw(canon *sim.Canonicalizer, repPerm, twinPerm int) func(string) string {
-	if canon == nil {
-		return nil
-	}
-	into := canon.OutcomeRenamer(repPerm)
-	outOf := canon.OutcomeRenamerInv(twinPerm)
+// orbitRenamer is the translation for crediting a twin from a summary
+// in the REPRESENTATIVE'S OWN coordinates (a root's summary, never
+// canonicalized): rename into canonical through the rep's orientation,
+// then out through the inverse of the twin's — the publication and
+// consumption steps of the shared-table flow, composed. The second map
+// is built after the first, so it covers every ID the first yields.
+func orbitRenamer(ids *outcomeIDs, canon *sim.Canonicalizer, repPerm, twinPerm int) []uint32 {
+	into := ids.renamer(canon, repPerm, false)
+	outOf := ids.renamer(canon, twinPerm, true)
 	switch {
-	case into == nil && outOf == nil:
-		return nil
 	case into == nil:
 		return outOf
 	case outOf == nil:
 		return into
 	}
-	return func(key string) string { return outOf(into(key)) }
+	both := make([]uint32, len(into))
+	for id, to := range into {
+		both[id] = outOf[to]
+	}
+	return both
 }

@@ -135,33 +135,40 @@ func TestPooledCensusEvents(t *testing.T) {
 	}
 }
 
-// TestSummaryMergeSaturates: counts near math.MaxInt must saturate, not
+// TestSummaryMergeSaturates: counts past math.MaxInt must saturate, not
 // wrap — a wrapped census once reported more violating runs than
 // complete ones — and a saturated census must not claim exhaustiveness.
+// Summaries count in 128 bits, so the saturation is in the census they
+// turn into.
 func TestSummaryMergeSaturates(t *testing.T) {
+	ids := newOutcomeIDs()
+	id := ids.intern("[0 1]")
 	big := func() *summary {
 		return &summary{
-			complete: math.MaxInt - 2, incomplete: math.MaxInt - 1, violations: math.MaxInt - 3,
-			outcomes: map[string]int{"[0 1]": math.MaxInt - 2},
+			complete: wideOf(math.MaxInt - 2), incomplete: wideOf(math.MaxInt - 1), violations: wideOf(math.MaxInt - 3),
+			outs: []outCount{{id: id, n: wideOf(math.MaxInt - 2)}},
 		}
 	}
 	s := big()
-	s.merge(big())
-	s.mergeRenamed(big(), func(k string) string { return k })
-	if s.complete != math.MaxInt || s.incomplete != math.MaxInt || s.violations != math.MaxInt ||
-		s.outcomes["[0 1]"] != math.MaxInt {
-		t.Fatalf("merge wrapped instead of saturating: %+v", s)
+	s.merge(big(), nil)
+	identity := make([]uint32, id+1)
+	identity[id] = id
+	s.merge(big(), identity)
+	c := censusFrom(s, ids, nil, Options{}, true)
+	if c.Complete != math.MaxInt || c.Incomplete != math.MaxInt || c.ViolationRuns != math.MaxInt ||
+		c.Outcomes["[0 1]"] != math.MaxInt {
+		t.Fatalf("merge wrapped instead of saturating: %+v", c)
 	}
-	if s.violations > s.complete {
-		t.Fatalf("violations %d exceed complete %d", s.violations, s.complete)
+	if c.ViolationRuns > c.Complete {
+		t.Fatalf("violations %d exceed complete %d", c.ViolationRuns, c.Complete)
 	}
 	if s.runs() != math.MaxInt {
 		t.Fatalf("runs() = %d, want saturated", s.runs())
 	}
-	if c := censusFrom(s, true); c.Exhaustive {
+	if c.Exhaustive {
 		t.Fatal("saturated census claims exhaustiveness")
 	}
-	if c := censusFrom(&summary{complete: 3}, true); !c.Exhaustive {
+	if c := censusFrom(&summary{complete: wideOf(3)}, ids, nil, Options{}, true); !c.Exhaustive {
 		t.Fatal("small census lost exhaustiveness")
 	}
 }

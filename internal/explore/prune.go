@@ -45,182 +45,12 @@ type tableKey struct {
 	faultRem int
 }
 
-// summary is the census of one fully explored subtree. The outcomes
-// map is allocated lazily on the first complete run: most frames in a
-// deep walk pop before seeing one, and engines recycle unpublished
-// summaries through a freelist, so the map is both rare and reused.
-// Every addition saturates at math.MaxInt (satAdd): credited subtree
-// totals multiply along a pruned walk and can outgrow int64, and a
-// saturated census reports itself capped (censusFrom) instead of
-// wrapping into nonsense.
-type summary struct {
-	complete   int
-	incomplete int
-	outcomes   map[string]int // complete runs by decision fingerprint
-	violations int            // complete runs failing the check
-	reps       []*rep         // ≤ MaxRecordedViolations, first in DFS order
-}
-
-// rep is one recorded violation representative with its dfsKey. The
-// key makes representative merging order-free: whatever order subtree
-// summaries are merged in — frame pops, table hits, work-stealing items
-// resolving in any order, checkpointed roots — a summary keeps the
-// violating runs that come first in the walk's DFS order, so a parallel
-// census records exactly the sequential walk's representatives. Merges
-// share reps by pointer; a rep is immutable once recorded.
-type rep struct {
-	Outcome
-	key string
-}
-
-func newSummary() *summary {
-	return &summary{}
-}
-
-// satAdd adds two non-negative counts, saturating at math.MaxInt
-// instead of wrapping.
-func satAdd(a, b int) int {
-	if a > math.MaxInt-b {
-		return math.MaxInt
-	}
-	return a + b
-}
-
-// runs is the summary's terminal-run total, saturating.
-func (s *summary) runs() int { return satAdd(s.complete, s.incomplete) }
-
-// saturated reports whether some count hit math.MaxInt: the census is
-// then a lower bound, not an exact count.
-func (s *summary) saturated() bool {
-	if s.complete == math.MaxInt || s.incomplete == math.MaxInt || s.violations == math.MaxInt {
-		return true
-	}
-	for _, v := range s.outcomes {
-		if v == math.MaxInt {
-			return true
-		}
-	}
-	return false
-}
-
-// reset clears the summary for reuse, retaining the outcomes map's
-// buckets. Reps are zeroed before truncation so recycled summaries do
-// not pin retired Results.
-func (s *summary) reset() {
-	s.complete, s.incomplete, s.violations = 0, 0, 0
-	clear(s.outcomes)
-	clear(s.reps)
-	s.reps = s.reps[:0]
-}
-
-// addTerminal classifies one terminal run into the summary; modes is
-// the walk's fault-mode enumeration order (Options.FaultModes), which
-// fixes the DFS order of fault choices. retained reports that the
-// Outcome (and its Result) was stored as a violation representative and
-// must stay valid — the caller's cue to stop recycling any scratch
-// buffers the Result aliases.
-func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error, modes []sim.FaultMode) (retained bool) {
-	if o.Result.Halted {
-		s.incomplete = satAdd(s.incomplete, 1)
-		return false
-	}
-	s.complete = satAdd(s.complete, 1)
-	if s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	fp := DecisionFingerprint(o.Result)
-	s.outcomes[fp] = satAdd(s.outcomes[fp], 1)
-	if check != nil {
-		if err := check(o.Result); err != nil {
-			s.violations = satAdd(s.violations, 1)
-			return s.addRep(&rep{Outcome: o, key: dfsKey(o.Schedule, modes)})
-		}
-	}
-	return false
-}
-
-// addRep inserts r in key order unless its schedule is already
-// recorded, keeping the first MaxRecordedViolations. It reports whether
-// r was stored.
-func (s *summary) addRep(r *rep) bool {
-	i := len(s.reps)
-	for i > 0 && r.key < s.reps[i-1].key { // walks arrive in DFS order: usually i stays put
-		i--
-	}
-	if i >= MaxRecordedViolations || (i > 0 && s.reps[i-1].key == r.key) {
-		return false
-	}
-	if len(s.reps) < MaxRecordedViolations {
-		s.reps = append(s.reps, nil)
-	}
-	copy(s.reps[i+1:], s.reps[i:]) // drops the last rep when full
-	s.reps[i] = r
-	return true
-}
-
-// dfsKey encodes a schedule so that byte order is the walk's DFS child
-// order (engine.childChoice): per choice its child class — plain pick,
-// crash, then one class per fault mode in modes order — followed by
-// the process ID. Ready sets are sorted, so within a class the process
-// ID is the child order.
-func dfsKey(sched []Choice, modes []sim.FaultMode) string {
-	b := make([]byte, 0, 3*len(sched))
-	for _, c := range sched {
-		class := 0
-		switch {
-		case c.Crash:
-			class = 1
-		case c.Fault != sim.FaultNone:
-			class = 2 + len(modes)
-			for i, m := range modes {
-				if m == c.Fault {
-					class = 2 + i
-					break
-				}
-			}
-		}
-		b = append(b, byte(class), byte(c.Pick>>8), byte(c.Pick))
-	}
-	return string(b)
-}
-
-// merge folds t into s. t is never mutated: published table entries are
-// shared and must stay immutable.
-func (s *summary) merge(t *summary) { s.mergeRenamed(t, nil) }
-
-// mergeRenamed is merge with every outcome key mapped through rename —
-// the translation step of symmetry-canonical table storage. A summary
-// stored at canonical orientation π holds outcome keys renamed under π;
-// publishing merges under π, consuming a hit merges under π⁻¹ (see
-// engine.popFrame and engine.run). Counts transfer untouched; violation
-// representatives keep their first-encounter schedules unrenamed (the
-// replayability contract is per-schedule, not per-hit-point). A nil
-// rename is plain merge.
-func (s *summary) mergeRenamed(t *summary, rename func(string) string) {
-	s.complete = satAdd(s.complete, t.complete)
-	s.incomplete = satAdd(s.incomplete, t.incomplete)
-	if len(t.outcomes) > 0 && s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	for k, v := range t.outcomes {
-		if rename != nil {
-			k = rename(k)
-		}
-		s.outcomes[k] = satAdd(s.outcomes[k], v)
-	}
-	s.violations = satAdd(s.violations, t.violations)
-	for _, r := range t.reps {
-		s.addRep(r)
-	}
-}
-
-// maxTableEntries caps the transposition table's memory when
-// Options.PruneTableEntries is zero. Beyond the cap the OLDEST entries
-// are evicted FIFO — an evicted subtree is simply re-walked on its next
-// encounter, so pruning degrades under memory pressure but census
-// counts never do. FIFO (rather than LRU) keeps get() contention-free
-// under a read lock; in a DFS the oldest published subtrees are the
-// deepest ones, which are also the cheapest to re-walk.
+// maxTableEntries caps the transposition table's entry count when
+// Options.PruneTableEntries is zero. At the cap a new entry replaces
+// the entry of its bucket whose subtree cost the fewest probes (see
+// pruneTable.put). An evicted subtree is
+// simply re-walked on its next encounter, so pruning degrades under
+// memory pressure but census counts never do.
 const maxTableEntries = 1 << 20
 
 // pruneShardCount is the number of lock stripes of a full-size table.
@@ -240,9 +70,13 @@ type PruneStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Stores counts published subtree summaries; Evictions counts
-	// entries dropped by the FIFO budget.
+	// stored entries the entry budget dropped to make room.
 	Stores    uint64 `json:"stores"`
 	Evictions uint64 `json:"evictions"`
+	// LostPublishes counts publishes refused because another worker
+	// had stored the same key first: a subtree walked twice. Zero for
+	// sequential censuses.
+	LostPublishes uint64 `json:"lost_publishes,omitempty"`
 	// Donations counts subtrees split off mid-walk by busy workers;
 	// Steals counts donated subtrees claimed by a different worker than
 	// their donor. Both are zero for sequential censuses.
@@ -272,32 +106,121 @@ type PruneStats struct {
 	SymmetryNote string `json:"symmetry_note,omitempty"`
 }
 
+// The table's slots and arenas hold no Go pointers, so the garbage
+// collector never scans them. Each stripe is an open-addressed array of fixed-size buckets
+// (linear probing from bucket to bucket) over two append-only arenas:
+// words for the counts and outcome pairs of every entry, bytes for the
+// dfsKeys of its violation representatives. A stripe allocates on its
+// first store and doubles whenever it would pass 3/4 load, until it
+// holds its share of the entry cap. From then on a store evicts: of the
+// entries of the newcomer's home bucket (or, when that bucket holds
+// none, of the next bucket that does), the one whose subtree cost the
+// fewest probes to walk is dropped — the "big" replacement scheme of
+// Breuker, Uiterwijk & van den Herik, "Replacement Schemes for
+// Transposition Tables" (ICCA Journal 1994), with the newcomer always
+// stored, so a walk keeps the entries it is about to hit.
+// A slot evicted outside the newcomer's probe chain becomes a
+// tombstone, which the next rehash clears; the arena space of evicted
+// entries is reclaimed by compaction once it is half the arena.
+
+// bucketSlots is the number of slots in one bucket.
+const bucketSlots = 4
+
+// minShardSlots is a stripe's size at its first store.
+const minShardSlots = 4 * bucketSlots
+
+// entryHead is the fixed part of an entry in a stripe's word arena:
+//
+//	w[0]    number of outcome pairs | number of reps << 32
+//	w[1:7]  complete, incomplete, violations (hi, lo each)
+//
+// followed by one (id, hi, lo) triple per outcome, ascending IDs, and
+// one word per representative: its byte-arena ref << 32 | length.
+const entryHead = 7
+
+// entryLen is the word length of the entry starting at w.
+func entryLen(w []uint64) int { return entryHead + 3*int(uint32(w[0])) + int(w[0]>>32) }
+
+// tombstone marks an evicted slot in a probe chain.
+const tombstone = math.MaxUint32
+
+// slot is one table entry: its key, its arena ref plus one (0: empty,
+// tombstone: evicted), and the probes its subtree cost to walk, the
+// replacement priority.
+type slot struct {
+	key  tableKey
+	off  uint32
+	cost uint32
+}
+
 // pruneShard is one lock stripe of the table.
 type pruneShard struct {
-	mu sync.RWMutex
-	m  map[tableKey]*summary
-	// order is the FIFO insertion log; entries before head are already
-	// evicted. Duplicate publishes are dropped at put, so every entry
-	// from head on is live in m.
-	order []tableKey
-	head  int
+	mu    sync.RWMutex
+	slots []slot // a power-of-two number of buckets; nil before the first store
+	words arena[uint64]
+	bytes arena[byte] // representative keys
+	live  int         // entries stored
+	tombs int         // tombstoned slots
+	// deadWords is the word-arena space of evicted entries.
+	deadWords int
 }
+
+// arena is an append-only store of records in chunks that never move:
+// the first chunk is small and each later one doubles up to
+// arenaChunk elements, so a nearly empty stripe stays small and a full
+// one never copies what it holds. A record is addressed by a ref, its
+// chunk index << 16 | its position in the chunk.
+type arena[T uint64 | byte] struct {
+	chunks [][]T
+	n      int // elements written
+}
+
+const (
+	arenaFirst = 64
+	arenaChunk = 1 << 13 // positions must fit 16 bits
+)
+
+// alloc returns the ref of a new n-element record and the record.
+func (a *arena[T]) alloc(n int) (uint32, []T) {
+	last := len(a.chunks) - 1
+	if last < 0 || len(a.chunks[last])+n > cap(a.chunks[last]) {
+		size := arenaFirst
+		if last >= 0 {
+			size = min(2*cap(a.chunks[last]), arenaChunk)
+		}
+		if len(a.chunks) >= 1<<16 {
+			panic("explore: prune-table stripe arena exceeds 2^16 chunks")
+		}
+		a.chunks = append(a.chunks, make([]T, 0, max(size, n))) // an outsize record gets a chunk of its own
+		last++
+	}
+	c := a.chunks[last]
+	pos := len(c)
+	a.chunks[last] = c[:pos+n]
+	a.n += n
+	return uint32(last)<<16 | uint32(pos), a.chunks[last][pos : pos+n : pos+n]
+}
+
+// at returns the record at ref, up to the end of its chunk.
+func (a *arena[T]) at(ref uint32) []T { return a.chunks[ref>>16][ref&0xffff:] }
 
 // pruneTable is the transposition table shared by ALL workers of a
 // parallel census. Entries are only ever inserted after their subtree
 // is fully explored, so concurrent workers need no in-progress marker:
 // whichever worker publishes first wins (put is first-writer-wins and
 // reports whether it stored), later publishers' values are
-// interchangeable by the soundness argument above, and published
-// summaries are immutable from that point on. The table is striped
-// into pruneShardCount lock shards; a table with a small entry budget
-// collapses to one shard so the FIFO eviction bound stays exact.
+// interchangeable by the soundness argument above, and an entry never
+// changes once stored. The table is striped into pruneShardCount lock
+// shards; a table with a small entry budget collapses to one shard so
+// the entry bound stays exact. ids interns the outcome IDs of every
+// summary the table and its census hold.
 type pruneTable struct {
 	shards   []pruneShard
 	shardCap int
+	ids      *outcomeIDs
 
-	hits, misses, stores, evictions atomic.Uint64
-	probes, symHits, sleepSkips     atomic.Uint64
+	hits, misses, stores, evictions, lost atomic.Uint64
+	probes, symHits, sleepSkips           atomic.Uint64
 }
 
 func newPruneTable(capacity int) *pruneTable {
@@ -311,68 +234,235 @@ func newPruneTable(capacity int) *pruneTable {
 		// exact where it matters (explicit small PruneTableEntries).
 		n = 1
 	}
-	t := &pruneTable{shards: make([]pruneShard, n), shardCap: (capacity + n - 1) / n}
-	for i := range t.shards {
-		t.shards[i].m = make(map[tableKey]*summary)
-	}
-	return t
+	return &pruneTable{shards: make([]pruneShard, n), shardCap: (capacity + n - 1) / n, ids: newOutcomeIDs()}
 }
 
-// shard maps a key to its stripe: the fingerprint is already a hash,
-// so mix the budget dimensions in and take high bits.
-func (t *pruneTable) shard(k tableKey) *pruneShard {
-	if len(t.shards) == 1 {
-		return &t.shards[0]
-	}
+// hash mixes the budget dimensions into the fingerprint. The high bits
+// pick the stripe, the middle ones the home bucket within it.
+func (k tableKey) hash() uint64 {
 	h := k.fp ^ uint64(k.depthRem)<<1 ^ uint64(k.crashRem)<<32 ^ uint64(k.faultRem)<<48
-	h *= 0x9e3779b97f4a7c15 // Fibonacci mix: budgets perturb low bits, shard index needs high ones
+	return h * 0x9e3779b97f4a7c15 // Fibonacci mix: budgets perturb low bits, the indexes need high ones
+}
+
+func (t *pruneTable) shard(h uint64) *pruneShard {
 	return &t.shards[(h>>58)&uint64(len(t.shards)-1)]
 }
 
-func (t *pruneTable) get(k tableKey) (*summary, bool) {
-	sh := t.shard(k)
-	sh.mu.RLock()
-	s, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		t.hits.Add(1)
-	} else {
-		t.misses.Add(1)
-	}
-	return s, ok
+// home is the bucket a key's probe chain starts at.
+func (sh *pruneShard) home(h uint64) int {
+	return int(h>>26) & (len(sh.slots)/bucketSlots - 1)
 }
 
-// put publishes a fully-explored subtree summary, first-writer-wins.
-// It reports whether s was stored: a stored summary is owned by the
-// table (shared, immutable — callers must not recycle or mutate it),
-// a rejected one stays owned by the caller.
-func (t *pruneTable) put(k tableKey, s *summary) bool {
-	sh := t.shard(k)
+// find walks k's probe chain. It returns the slot holding k (found), or
+// else where k would be stored: the chain's first tombstone, or the
+// empty slot that ends it. Load stays at most 3/4, so a chain ends.
+func (sh *pruneShard) find(k tableKey, h uint64) (i int, found bool) {
+	free := -1
+	mask := len(sh.slots)/bucketSlots - 1
+	for b := sh.home(h); ; b = (b + 1) & mask {
+		for i := b * bucketSlots; i < (b+1)*bucketSlots; i++ {
+			switch s := &sh.slots[i]; {
+			case s.off == 0:
+				if free < 0 {
+					free = i
+				}
+				return free, false
+			case s.off == tombstone:
+				if free < 0 {
+					free = i
+				}
+			case s.key == k:
+				return i, true
+			}
+		}
+	}
+}
+
+// get merges the summary stored under k into acc, its outcome IDs
+// mapped through ren (nil: unchanged), under the stripe's read lock,
+// and returns its run total. short reports an entry holding an ID ren
+// does not cover yet (stored by another worker after the caller built
+// ren): nothing was merged or counted, and the caller retries with a
+// fresh ren.
+func (t *pruneTable) get(k tableKey, acc *summary, ren []uint32) (runs int, hit, short bool) {
+	h := k.hash()
+	sh := t.shard(h)
+	sh.mu.RLock()
+	if sh.slots != nil {
+		if i, ok := sh.find(k, h); ok {
+			runs, short = sh.mergeInto(sh.slots[i].off, acc, ren)
+			hit = !short
+		}
+	}
+	sh.mu.RUnlock()
+	switch {
+	case hit:
+		t.hits.Add(1)
+	case !short:
+		t.misses.Add(1)
+	}
+	return runs, hit, short
+}
+
+// mergeInto merges the entry of slot offset off into acc; see get.
+func (sh *pruneShard) mergeInto(off uint32, acc *summary, ren []uint32) (runs int, short bool) {
+	w := sh.words.at(off - 1)
+	nOut, nReps := int(uint32(w[0])), int(w[0]>>32)
+	outs := w[entryHead : entryHead+3*nOut]
+	if ren != nil {
+		for i := 0; i < len(outs); i += 3 {
+			if outs[i] >= uint64(len(ren)) {
+				return 0, true
+			}
+		}
+	}
+	total := wide{w[1], w[2]}
+	total.add(wide{w[3], w[4]})
+	acc.complete.add(wide{w[1], w[2]})
+	acc.incomplete.add(wide{w[3], w[4]})
+	acc.violations.add(wide{w[5], w[6]})
+	for i := 0; i < len(outs); i += 3 {
+		id := uint32(outs[i])
+		if ren != nil {
+			id = ren[id]
+		}
+		acc.addOutcome(id, wide{outs[i+1], outs[i+2]})
+	}
+	for _, r := range w[entryHead+3*nOut : entryHead+3*nOut+nReps] {
+		acc.addRepBytes(sh.bytes.at(uint32(r >> 32))[:uint32(r)])
+	}
+	return total.int(), false
+}
+
+// put publishes the summary of a fully explored subtree, whose walk
+// took cost probes, first-writer-wins. It reports whether s was stored;
+// the table copies it, so s stays the caller's either way. A key
+// another worker stored first is a lost publish.
+func (t *pruneTable) put(k tableKey, s *summary, cost uint32) bool {
+	h := k.hash()
+	sh := t.shard(h)
 	sh.mu.Lock()
-	if _, ok := sh.m[k]; ok {
+	if sh.slots == nil {
+		sh.slots = make([]slot, minShardSlots)
+	}
+	i, found := sh.find(k, h)
+	if found {
 		sh.mu.Unlock()
-		return false // concurrent worker published first; values are interchangeable
+		t.lost.Add(1)
+		return false // a concurrent worker published first; values are interchangeable
 	}
-	sh.m[k] = s
-	sh.order = append(sh.order, k)
-	evicted := 0
-	for len(sh.m) > t.shardCap {
-		delete(sh.m, sh.order[sh.head])
-		sh.head++
-		evicted++
+	evicted := sh.live >= t.shardCap
+	if evicted {
+		sh.evict(sh.victim(h))
+		i, _ = sh.find(k, h)
 	}
-	// Compact the evicted prefix once it dominates the log, so a
-	// long-running census at the cap does not grow order unboundedly.
-	if sh.head > 1024 && sh.head > len(sh.order)/2 {
-		sh.order = append([]tableKey(nil), sh.order[sh.head:]...)
-		sh.head = 0
+	if sh.slots[i].off == 0 && (sh.live+sh.tombs+1)*4 > len(sh.slots)*3 {
+		// Spending an empty slot would pass 3/4 load. Double, unless
+		// tombstones make up enough of the load that clearing them
+		// leaves an eighth of the slots free.
+		size := len(sh.slots)
+		if (sh.live+1)*8 > size*5 {
+			size *= 2
+		}
+		sh.rehash(size)
+		i, _ = sh.find(k, h)
+	}
+	if sh.slots[i].off == tombstone {
+		sh.tombs--
+	}
+	sh.slots[i] = slot{key: k, off: sh.write(s) + 1, cost: cost}
+	sh.live++
+	if sh.deadWords > arenaChunk && sh.deadWords*2 > sh.words.n {
+		sh.compact()
 	}
 	sh.mu.Unlock()
 	t.stores.Add(1)
-	if evicted > 0 {
-		t.evictions.Add(uint64(evicted))
+	if evicted {
+		t.evictions.Add(1)
 	}
 	return true
+}
+
+// victim picks the entry a newcomer with hash h evicts at the cap: the
+// cheapest entry of its home bucket, or of the first bucket after it
+// holding any. The stripe holds at least one entry.
+func (sh *pruneShard) victim(h uint64) int {
+	nb := len(sh.slots) / bucketSlots
+	for b := sh.home(h); ; b = (b + 1) % nb {
+		v := -1
+		for i := b * bucketSlots; i < (b+1)*bucketSlots; i++ {
+			if o := sh.slots[i].off; o != 0 && o != tombstone && (v < 0 || sh.slots[i].cost < sh.slots[v].cost) {
+				v = i
+			}
+		}
+		if v >= 0 {
+			return v
+		}
+	}
+}
+
+// evict drops the entry in slot i: the slot becomes a tombstone, so
+// probe chains through it stay intact, and its arena space is dead.
+func (sh *pruneShard) evict(i int) {
+	sh.deadWords += entryLen(sh.words.at(sh.slots[i].off - 1))
+	sh.slots[i].off = tombstone
+	sh.tombs++
+	sh.live--
+}
+
+// write copies s into the arenas and returns its word-arena ref.
+func (sh *pruneShard) write(s *summary) uint32 {
+	ref, w := sh.words.alloc(entryHead + 3*len(s.outs) + len(s.reps))
+	w[0] = uint64(len(s.outs)) | uint64(len(s.reps))<<32
+	w[1], w[2], w[3], w[4] = s.complete.hi, s.complete.lo, s.incomplete.hi, s.incomplete.lo
+	w[5], w[6] = s.violations.hi, s.violations.lo
+	p := w[entryHead:]
+	for _, o := range s.outs {
+		p[0], p[1], p[2] = uint64(o.id), o.n.hi, o.n.lo
+		p = p[3:]
+	}
+	for i, r := range s.reps {
+		at, b := sh.bytes.alloc(len(r))
+		copy(b, r)
+		p[i] = uint64(at)<<32 | uint64(len(r))
+	}
+	return ref
+}
+
+// rehash moves the live entries into size slots, clearing tombstones.
+func (sh *pruneShard) rehash(size int) {
+	old := sh.slots
+	sh.slots = make([]slot, size)
+	sh.tombs = 0
+	for _, s := range old {
+		if s.off != 0 && s.off != tombstone {
+			i, _ := sh.find(s.key, s.key.hash())
+			sh.slots[i] = s
+		}
+	}
+}
+
+// compact copies the live entries into fresh arenas, dropping the space
+// of evicted ones.
+func (sh *pruneShard) compact() {
+	words, bytes := sh.words, sh.bytes
+	sh.words, sh.bytes, sh.deadWords = arena[uint64]{}, arena[byte]{}, 0
+	for i := range sh.slots {
+		s := &sh.slots[i]
+		if s.off == 0 || s.off == tombstone {
+			continue
+		}
+		src := words.at(s.off - 1)
+		ref, w := sh.words.alloc(entryLen(src))
+		copy(w, src)
+		for j := entryHead + 3*int(uint32(w[0])); j < len(w); j++ {
+			n := uint32(w[j])
+			at, b := sh.bytes.alloc(int(n))
+			copy(b, bytes.at(uint32(w[j] >> 32))[:n])
+			w[j] = uint64(at)<<32 | uint64(n)
+		}
+		s.off = ref + 1
+	}
 }
 
 // size reports the live entry count (tests).
@@ -381,7 +471,7 @@ func (t *pruneTable) size() int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += sh.live
 		sh.mu.RUnlock()
 	}
 	return n
@@ -391,13 +481,14 @@ func (t *pruneTable) size() int {
 // are merged in by the steal pool).
 func (t *pruneTable) statsSnapshot() *PruneStats {
 	return &PruneStats{
-		Hits:         t.hits.Load(),
-		Misses:       t.misses.Load(),
-		Stores:       t.stores.Load(),
-		Evictions:    t.evictions.Load(),
-		Probes:       t.probes.Load(),
-		SymmetryHits: t.symHits.Load(),
-		SleepSkips:   t.sleepSkips.Load(),
+		Hits:          t.hits.Load(),
+		Misses:        t.misses.Load(),
+		Stores:        t.stores.Load(),
+		Evictions:     t.evictions.Load(),
+		LostPublishes: t.lost.Load(),
+		Probes:        t.probes.Load(),
+		SymmetryHits:  t.symHits.Load(),
+		SleepSkips:    t.sleepSkips.Load(),
 	}
 }
 
@@ -406,27 +497,6 @@ func (o Options) markReducers(st *PruneStats) {
 	st.SymmetryOn = o.canon != nil
 	st.SleepSetsOn = o.SleepSets
 	st.SymmetryNote = o.symNote
-}
-
-// censusFrom turns a root accumulator into a Census. A saturated count
-// makes the census capped: exhaustive is forced false.
-func censusFrom(acc *summary, exhaustive bool) *Census {
-	out := acc.outcomes
-	if out == nil {
-		out = make(map[string]int)
-	}
-	var violations []Outcome
-	for _, r := range acc.reps {
-		violations = append(violations, r.Outcome)
-	}
-	return &Census{
-		Complete:      acc.complete,
-		Incomplete:    acc.incomplete,
-		Outcomes:      out,
-		Violations:    violations,
-		ViolationRuns: acc.violations,
-		Exhaustive:    exhaustive && !acc.saturated(),
-	}
 }
 
 // symmetryAuditRounds/Steps size the empirical equivariance audit run

@@ -50,9 +50,10 @@ type stealPool struct {
 	opts  Options
 	check func(*sim.Result) error
 	table *pruneTable
+	ids   *outcomeIDs // the table's, or the census's own when unpruned
 	// onSettle, when non-nil, observes each root that settles whole,
 	// from the worker goroutine that settled it (p.mu not held).
-	onSettle func(root int, s *summary, capped bool)
+	onSettle func(root int, r RootSummary)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -86,11 +87,15 @@ type stealPool struct {
 // that settles here. The supervision config is returned for its
 // counters.
 func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
-	onSettle func(root int, s *summary, capped bool)) (*Census, *supCfg) {
+	onSettle func(root int, r RootSummary)) (*Census, *supCfg) {
 	opts := pl.opts
 	cfg := opts.supervise()
+	ids := newOutcomeIDs()
+	if table != nil {
+		ids = table.ids
+	}
 	p := &stealPool{
-		ctx: ctx, cfg: cfg, b: cfg.wrapChaos(pl.b), opts: opts, check: pl.check, table: table,
+		ctx: ctx, cfg: cfg, b: cfg.wrapChaos(pl.b), opts: opts, check: pl.check, table: table, ids: ids,
 		onSettle: onSettle, ledger: NewLedger(cfg.maxAttempts),
 		acc: make([]*summary, len(pl.items)), capped: make([]bool, len(pl.items)),
 		running: make(map[*poolAttempt]struct{}), epoch: time.Now(), finished: make(chan struct{}),
@@ -122,17 +127,19 @@ func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed ma
 	// Every worker and the watchdog have exited: the root bookkeeping is
 	// final and read without p.mu (the fold calls back into the builder
 	// and the check).
-	c, orbitSkips := pl.fold(newSummary(), func(i int) (*summary, bool, bool) {
+	total := newSummary()
+	f := pl.fold(total, ids, func(i int) (*summary, bool, bool) {
 		if r, ok := resumed[i]; ok {
-			return r.summary(pl.b, opts), r.Capped, true
+			return r.summary(ids, opts.FaultModes), r.Capped, true
 		}
 		return p.acc[i], p.capped[i], p.ledger.Settled(i)
 	}, p.ledger.Failures())
+	c := pl.census(total, ids, f)
 	if table != nil {
 		st := table.statsSnapshot()
 		st.Donations = p.donations.Load()
 		st.Steals = p.steals.Load()
-		st.OrbitSkips = orbitSkips
+		st.OrbitSkips = f.orbitSkips
 		opts.markReducers(st)
 		c.Prune = st
 	}
@@ -192,7 +199,7 @@ func (p *stealPool) emit(evs []Event) {
 			p.cfg.stats.Failed.Add(1)
 		case EventResolved:
 			if p.onSettle != nil {
-				p.onSettle(e.Root, p.acc[e.Root], p.capped[e.Root])
+				p.onSettle(e.Root, p.acc[e.Root].record(p.ids, p.opts.FaultModes, p.capped[e.Root]))
 			}
 		}
 		if p.cfg.onEvent != nil {
@@ -261,7 +268,7 @@ func (p *stealPool) attempt(name string, a *poolAttempt) bool {
 		beat = func() { a.hb.Add(1) }
 	}
 	en := &engine{
-		b: p.b, opts: p.opts, acc: newSummary(), check: p.check,
+		b: p.b, opts: p.opts, acc: newSummary(), check: p.check, ids: p.ids,
 		table: p.table, root: c.Prefix, ctx: a.ctx,
 		pool: p, claim: c, skipcheck: c.Logged > 0, onStep: beat,
 	}
@@ -305,7 +312,7 @@ func (p *stealPool) count(root int, s *summary, capped bool) {
 	if p.acc[root] == nil {
 		p.acc[root] = s
 	} else {
-		p.acc[root].merge(s)
+		p.acc[root].merge(s, nil)
 	}
 	p.capped[root] = p.capped[root] || capped
 }

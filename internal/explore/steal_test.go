@@ -139,7 +139,7 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 	if full.capped || full.cancelled {
 		t.Fatal("reference walk did not complete")
 	}
-	want := censusFrom(full.acc, true)
+	want := censusFrom(full.acc, full.ids, b, opts, true)
 	if want.ViolationRuns == 0 {
 		t.Fatal("reference census found no violations; test tree too tame")
 	}
@@ -182,36 +182,34 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 			t.Fatal("split walks did not complete")
 		}
 		total := newSummary()
-		total.merge(donor.acc)
-		total.merge(den.acc)
-		return censusFrom(total, true)
+		total.merge(donor.acc, nil)
+		total.merge(den.acc, nil)
+		return censusFrom(total, table.ids, b, opts, true)
 	}
 
 	// Hazard 1: fresh table. The donor's ancestor frames of the donated
 	// prefix must not publish their under-counted accumulators.
 	fresh := newPruneTable(0)
 	sameCensus(t, "fresh-table split", runSplit(fresh), want)
-	for si := range fresh.shards {
-		sh := &fresh.shards[si]
-		for k, s := range sh.m {
-			ref, ok := refTable.get(k)
-			if !ok {
-				t.Errorf("split walk published key %+v never published by the full walk", k)
-				continue
-			}
-			if s.complete != ref.complete || s.incomplete != ref.incomplete || s.violations != ref.violations {
-				t.Errorf("split walk published %d/%d viol=%d under key %+v, full walk published %d/%d viol=%d",
-					s.complete, s.incomplete, s.violations, k, ref.complete, ref.incomplete, ref.violations)
-				continue
-			}
-			for o, n := range ref.outcomes {
-				if s.outcomes[o] != n {
-					t.Errorf("split walk outcome histogram %v under key %+v, want %v", s.outcomes, k, ref.outcomes)
-					break
-				}
+	fresh.entries(func(k tableKey, s *summary) {
+		ref := newSummary()
+		if _, ok, _ := refTable.get(k, ref, nil); !ok {
+			t.Errorf("split walk published key %+v never published by the full walk", k)
+			return
+		}
+		if s.complete != ref.complete || s.incomplete != ref.incomplete || s.violations != ref.violations {
+			t.Errorf("split walk published %v/%v viol=%v under key %+v, full walk published %v/%v viol=%v",
+				s.complete, s.incomplete, s.violations, k, ref.complete, ref.incomplete, ref.violations)
+			return
+		}
+		got, want := histogram(fresh.ids, s), histogram(refTable.ids, ref)
+		for o, n := range want {
+			if got[o] != n {
+				t.Errorf("split walk outcome histogram %v under key %+v, want %v", got, k, want)
+				break
 			}
 		}
-	}
+	})
 
 	// Hazard 2: pre-seeded table. The donor must not take a hit at the
 	// root or the depth-1 ancestor of the donated prefix, both of which
@@ -257,17 +255,17 @@ func TestRetriedDonorDonatesNoAncestor(t *testing.T) {
 	p, donor := retriedDonor(t, opts, nil, []Choice{{Pick: 1}, {Pick: 1}})
 	donor.run()
 	total := newSummary()
-	total.merge(donor.acc)
+	total.merge(donor.acc, nil)
 	for {
 		c, _, ok := p.ledger.Claim("walker", 0)
 		if !ok {
 			break
 		}
-		en := &engine{b: wideTree, opts: opts, acc: newSummary(), check: disagreeCheck, root: c.Prefix}
+		en := &engine{b: wideTree, opts: opts, acc: newSummary(), check: disagreeCheck, ids: donor.ids, root: c.Prefix}
 		en.run()
-		total.merge(en.acc)
+		total.merge(en.acc, nil)
 	}
-	sameCensus(t, "retried donor and its donations", censusFrom(total, true), want)
+	sameCensus(t, "retried donor and its donations", censusFrom(total, donor.ids, wideTree, opts, true), want)
 }
 
 // TestStealRetryStaleGeneration: a superseded attempt's failure must
@@ -304,16 +302,18 @@ func TestStealRetryStaleGeneration(t *testing.T) {
 }
 
 // TestPruneTableHitAllocFree: a transposition-table hit — the inner
-// loop of every pruned walk — must not allocate: lookup, stat counting
-// and shard selection all run on preallocated state.
+// loop of every pruned walk — must not allocate: lookup, stat counting,
+// shard selection and the merge into the caller's accumulator all run
+// on preallocated state.
 func TestPruneTableHitAllocFree(t *testing.T) {
 	table := newPruneTable(0)
 	key := tableKey{fp: 0x9e3779b97f4a7c15, depthRem: 40, crashRem: 1}
-	if !table.put(key, newSummary()) {
+	if !table.put(key, newSummary(), 1) {
 		t.Fatal("put rejected first write")
 	}
+	acc := newSummary()
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := table.get(key); !ok {
+		if _, ok, _ := table.get(key, acc, nil); !ok {
 			t.Fatal("seeded key missed")
 		}
 	})

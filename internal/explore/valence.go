@@ -14,18 +14,53 @@ import (
 //
 // Incomplete runs (depth bound hit) contribute the pseudo-fingerprint
 // "∞" so that non-terminating branches are visible in the valence.
+//
+// With Options.Prune (or a reducer implying it) the set is read off a
+// pruned census rooted at prefix: its outcome keys, plus "∞" if any run
+// is incomplete. Both walks are DFS; the pruned one counts the runs a
+// table hit credits, so where MaxRuns binds it covers at least the DFS
+// prefix the unpruned walk covers, and where it does not the sets are
+// equal.
 func Valence(b Builder, opts Options, prefix []Choice) []string {
-	opts = opts.withDefaults()
+	opts, table := opts.valenceSetup(b)
+	return valence(b, opts, table, prefix)
+}
+
+// valenceSetup resolves opts for valence walks and, when they prune,
+// makes the table they share: keys hold absolute states and remaining
+// budgets, so one table serves walks from any prefix.
+func (o Options) valenceSetup(b Builder) (Options, *pruneTable) {
+	o = o.withDefaults()
+	if !o.Prune {
+		return o, nil
+	}
+	o = resolveSymmetry(b, o)
+	return o, newPruneTable(o.PruneTableEntries)
+}
+
+// valence is Valence for resolved options; table is nil when unpruned.
+func valence(b Builder, opts Options, table *pruneTable, prefix []Choice) []string {
 	set := make(map[string]bool)
-	en := &engine{b: b, opts: opts, root: prefix, visit: func(o Outcome) bool {
-		if o.Result.Halted {
-			set["∞"] = true
-		} else {
-			set[DecisionFingerprint(o.Result)] = true
+	if table != nil {
+		en := &engine{b: b, opts: opts, acc: newSummary(), table: table, root: prefix, ctx: opts.Context}
+		en.run()
+		for _, o := range en.acc.outs {
+			set[en.ids.key(o.id)] = true
 		}
-		return true
-	}}
-	en.run()
+		if en.acc.incomplete != (wide{}) {
+			set["∞"] = true
+		}
+	} else {
+		en := &engine{b: b, opts: opts, root: prefix, ctx: opts.Context, visit: func(o Outcome) bool {
+			if o.Result.Halted {
+				set["∞"] = true
+			} else {
+				set[DecisionFingerprint(o.Result)] = true
+			}
+			return true
+		}}
+		en.run()
+	}
 	out := make([]string, 0, len(set))
 	for fp := range set {
 		out = append(out, fp)
@@ -49,11 +84,15 @@ func Bivalent(b Builder, opts Options, prefix []Choice) bool {
 // quickly — some step decides. For an attempted read/write consensus
 // protocol the path keeps extending, which is exactly the FLP shape:
 // an adversary can keep the protocol undecided forever.
+//
+// With Options.Prune every valence on the path comes from one shared
+// transposition table (see Valence).
 func BivalencePath(b Builder, opts Options, pathLen int) ([]Choice, bool) {
-	opts = opts.withDefaults()
+	opts, table := opts.valenceSetup(b)
+	bivalent := func(prefix []Choice) bool { return len(valence(b, opts, table, prefix)) >= 2 }
 	var path []Choice
 	for len(path) < pathLen {
-		if !Bivalent(b, opts, path) {
+		if !bivalent(path) {
 			return path, false
 		}
 		_, ready := replayPrefix(b, opts, path)
@@ -63,7 +102,7 @@ func BivalencePath(b Builder, opts Options, pathLen int) ([]Choice, bool) {
 		extended := false
 		for _, id := range ready {
 			child := append(append([]Choice(nil), path...), Choice{Pick: id})
-			if Bivalent(b, opts, child) {
+			if bivalent(child) {
 				path = child
 				extended = true
 				break
@@ -87,8 +126,8 @@ func DescribeCensus(c *Census) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "complete=%d incomplete=%d exhaustive=%v\n", c.Complete, c.Incomplete, c.Exhaustive)
 	if p := c.Prune; p != nil {
-		fmt.Fprintf(&b, "  prune: hits=%d misses=%d stores=%d evictions=%d donations=%d steals=%d\n",
-			p.Hits, p.Misses, p.Stores, p.Evictions, p.Donations, p.Steals)
+		fmt.Fprintf(&b, "  prune: hits=%d misses=%d stores=%d evictions=%d lost_publishes=%d donations=%d steals=%d\n",
+			p.Hits, p.Misses, p.Stores, p.Evictions, p.LostPublishes, p.Donations, p.Steals)
 		if p.SymmetryOn || p.SleepSetsOn || p.SymmetryNote != "" {
 			fmt.Fprintf(&b, "  reduce: probes=%d symmetry=%v(hits=%d) sleepsets=%v(skips=%d)\n",
 				p.Probes, p.SymmetryOn, p.SymmetryHits, p.SleepSetsOn, p.SleepSkips)

@@ -205,14 +205,17 @@ type MachineExec struct {
 	sys   *System
 	cfg   Config
 	ready []ProcID
+	// rd is Restore's cursor. Handing the machines and objects a
+	// pointer to a field, not to Restore's argument, keeps the argument
+	// from escaping through those interface calls to the heap.
+	rd SnapReader
 }
 
 // StartMachines prepares the System for execution under cfg and
 // returns its executor. Like Run it consumes the System's single run.
 // Every Program starts on its host goroutine and runs up to its first
 // operation, so a caller that starts a system with Programs must Run
-// it to completion, which ends every host goroutine. Config.Scratch
-// may be swapped later with SetScratch.
+// it to completion, which ends every host goroutine.
 func (s *System) StartMachines(cfg Config) (*MachineExec, error) {
 	if s.ran {
 		return nil, errors.New("sim: system already ran")
@@ -260,11 +263,6 @@ func (s *System) StartMachines(cfg Config) (*MachineExec, error) {
 	}
 	return m, nil
 }
-
-// SetScratch swaps the result scratch for subsequent episodes
-// (explorers retain a Result occasionally and hand the executor a fresh
-// Scratch in its place).
-func (m *MachineExec) SetScratch(sc *Scratch) { m.cfg.Scratch = sc }
 
 // System returns the underlying system (for StateHash/PendingObject
 // observation at decision points).
@@ -485,7 +483,9 @@ func (m *MachineExec) Snapshot(sn *Snap) {
 // rebuilding the ready set. The snapshot stays
 // valid (reads do not consume the arena), so one snapshot can be
 // restored many times — the core of in-place backtracking.
-func (m *MachineExec) Restore(r SnapReader) {
+func (m *MachineExec) Restore(at SnapReader) {
+	m.rd = at
+	r := &m.rd
 	s := m.sys
 	s.steps = r.Int()
 	m.ready = m.ready[:0]
@@ -501,15 +501,15 @@ func (m *MachineExec) Restore(r SnapReader) {
 		} else {
 			p.err = nil
 		}
-		p.machine.Restore(&r)
+		p.machine.Restore(r)
 		if !p.done {
 			m.ready = append(m.ready, p.id)
 		}
 	}
 	for _, name := range s.sortedNames() {
-		s.objects[name].(Restorable).RestoreState(&r)
+		s.objects[name].(Restorable).RestoreState(r)
 	}
 	if s.fingerprint {
-		s.fpRestore(&r)
+		s.fpRestore(r)
 	}
 }

@@ -367,6 +367,65 @@ func TestMachineStepAllocFree(t *testing.T) {
 	}
 }
 
+// TestMachineSnapshotRestoreAllocFree is the same differential guard for
+// in-place backtracking: a Snapshot+Restore pair at every decision
+// point — what an explorer does before and after each edge — must
+// allocate nothing once the arena has grown. Restoring the snapshot
+// just taken leaves the execution unchanged, so the runs are the
+// ordinary casLoop/symLoop runs plus 256 extra pairs.
+func TestMachineSnapshotRestoreAllocFree(t *testing.T) {
+	for _, canon := range []bool{false, true} {
+		t.Run(fmt.Sprintf("canon=%v", canon), func(t *testing.T) {
+			sc := sim.NewScratch()
+			var c *sim.Canonicalizer
+			if canon {
+				probe := symLoopMachines(1, 3)
+				var err error
+				if c, err = sim.NewCanonicalizer(probe, probe.SymmetrySpec()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var (
+				me   *sim.MachineExec
+				snap sim.Snap
+				rr   int
+			)
+			sched := sim.SchedulerFunc(func(ready []sim.ProcID, _ int) sim.ProcID {
+				snap.Reset()
+				me.Snapshot(&snap)
+				me.Restore(snap.ReaderAt(0, 0))
+				rr++
+				return ready[rr%len(ready)]
+			})
+			allocs := func(rounds int) float64 {
+				return testing.AllocsPerRun(20, func() {
+					sys := casLoopMachines(rounds)
+					if canon {
+						sys = symLoopMachines(rounds, 3)
+					}
+					var err error
+					me, err = sys.StartMachines(sim.Config{
+						Scheduler: sched, Fingerprint: true, Canon: c, DisableTrace: true, Scratch: sc,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := me.Run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			// Min-of-two with a threshold of 2, as in TestMachineStepAllocFree.
+			min2 := func(rounds int) float64 { return min(allocs(rounds), allocs(rounds)) }
+			short, long := min2(32), min2(96)
+			if delta := long - short; delta >= 2 {
+				t.Fatalf("extra snapshot/restore pairs allocate %.1f objects, want 0 (short=%.1f long=%.1f)",
+					delta, short, long)
+			}
+		})
+	}
+}
+
 // TestMachineSnapshotMidRun snapshots at an interior decision point
 // (from inside the scheduler, where the state is quiescent), runs to
 // completion, restores, and completes again under the same stateless

@@ -10,9 +10,8 @@ package sim
 // Ownership contract: the *Result returned by Run aliases the Scratch.
 // It is valid until the same Scratch is passed to another Run. A caller
 // that wants to retain a Result (for example as a recorded violation
-// witness) must either copy it or stop reusing the scratch — the
-// explore engine does the latter, abandoning the scratch to the
-// retained Result and drawing a fresh one from its pool.
+// witness) must copy it, stop reusing the scratch, or — as the explore
+// engine does — keep the run's schedule and replay it later.
 //
 // A Scratch is not safe for concurrent use; give each worker its own.
 type Scratch struct {

@@ -54,6 +54,13 @@ for want in '"complete": 26435341132200000' '"violation_runs": 0' '"exhaustive":
 	fi
 done
 
+echo "== prose census of cas k=6 n=5: the valence pass runs under the census's reducers and must finish"
+timeout 60 go run ./cmd/explore -protocol cas -k 6 -n 5 -crashes 1 -symmetry -sleepsets \
+	-maxruns 4611686018427387904 -bivalence=false >/dev/null
+
+echo "== transposition table under the race detector: concurrent publishes, hits, growth and eviction"
+go test -race -count=10 -run 'TestPruneTableConcurrent' ./internal/explore/
+
 echo "== reduction smoke: reduced census must match unreduced bit-for-bit (fast tier)"
 go test -count=1 -run 'TestReducedCensusMatchesUnreduced' ./internal/explore/
 
@@ -81,7 +88,7 @@ go run ./cmd/explore -protocol cas -k 4 -n 3 -crashes 1 -symmetry -verifyfp \
 
 echo "== benchmark smoke (-benchtime 1x: every benchmark still runs)"
 go test -run '^$' -bench 'BenchmarkSimStep' -benchtime 1x ./internal/sim/ >/dev/null
-go test -run '^$' -bench 'BenchmarkExplore' -benchtime 1x ./internal/explore/ >/dev/null
+go test -run '^$' -bench 'BenchmarkExplore|BenchmarkPruneTable' -benchtime 1x -benchmem ./internal/explore/ >/dev/null
 go test -run '^$' -bench 'BenchmarkWrapOverhead|BenchmarkFaultCensus' -benchtime 1x ./internal/faults/ >/dev/null
 
 echo "== fault-injection smoke census (degrading compare&swap, 1 crash + 1 object fault)"
