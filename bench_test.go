@@ -365,55 +365,6 @@ func BenchmarkAblationGateVsAtomic(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationReplay (DESIGN.md §5.2): exploration cost as
-// schedule counts grow, ablated across the three engines — the
-// original per-node replay walker, the per-run path engine, and the
-// path engine with state-fingerprint pruning.
-func BenchmarkAblationReplay(b *testing.B) {
-	engines := []struct {
-		name string
-		runs func(explore.Builder) int
-	}{
-		{"replay-walker", func(builder explore.Builder) int {
-			n, _ := explore.VisitReplay(builder, explore.Options{}, func(explore.Outcome) bool { return true })
-			return n
-		}},
-		{"path-engine", func(builder explore.Builder) int {
-			n, _ := explore.Visit(builder, explore.Options{}, func(explore.Outcome) bool { return true })
-			return n
-		}},
-		{"pruned", func(builder explore.Builder) int {
-			c := explore.Run(builder, explore.Options{Prune: true}, nil)
-			return c.Complete + c.Incomplete
-		}},
-	}
-	for _, steps := range []int{2, 3, 4} {
-		builder := func() *sim.System {
-			sys := sim.NewSystem()
-			r := registers.NewMWMR("r", 0)
-			sys.Add(r)
-			sys.SpawnN(2, func(sim.ProcID) sim.Program {
-				return func(e *sim.Env) (sim.Value, error) {
-					for j := 0; j < steps; j++ {
-						r.Read(e)
-					}
-					return nil, nil
-				}
-			})
-			return sys
-		}
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("steps=%d/%s", steps, eng.name), func(b *testing.B) {
-				var runs int
-				for i := 0; i < b.N; i++ {
-					runs += eng.runs(builder)
-				}
-				b.ReportMetric(float64(runs)/float64(b.N), "schedules")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationSnapshot (DESIGN.md §5.3): the linearizable
 // double-collect scan vs. the broken single collect.
 func BenchmarkAblationSnapshot(b *testing.B) {

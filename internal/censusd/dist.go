@@ -463,12 +463,17 @@ func (s *Server) runJobDistributed(ctx, jobCtx context.Context, js *jobState, id
 					break
 				}
 				// A cancelled local attempt ends the job: its claim is left
-				// to the closing ledger.
-				sum, cancelled := plan.ExploreRootLocal(jobCtx, l.Root)
-				if cancelled {
+				// to the closing ledger. A root the walk lost is a failed
+				// attempt, requeued within the root's budget.
+				sum, err := plan.ExploreRootLocal(jobCtx, l.Root)
+				if jobCtx.Err() != nil {
 					break
 				}
-				dj.deliver("local", l.Root, l.Generation, sum, "", true)
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
+				}
+				dj.deliver("local", l.Root, l.Generation, sum, errStr, true)
 			}
 		}
 	}
@@ -576,7 +581,15 @@ func (s *Server) distHandlers(mux *http.ServeMux) {
 			http.Error(w, "stale: job not distributing", http.StatusConflict)
 			return
 		}
-		status := d.deliver(req.WorkerID, req.Root, req.Generation, req.Summary, req.Err, false)
+		// A summary the plan cannot have produced fails the attempt, as
+		// a worker-reported error does: merging it could crash the fold.
+		errStr := req.Err
+		if errStr == "" {
+			if err := d.plan.CheckSummary(req.Summary); err != nil {
+				errStr = "invalid summary: " + err.Error()
+			}
+		}
+		status := d.deliver(req.WorkerID, req.Root, req.Generation, req.Summary, errStr, false)
 		if status == distcensus.ResultStale {
 			http.Error(w, "stale: generation superseded", http.StatusConflict)
 			return

@@ -7,7 +7,9 @@
 package consensus
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 
 	"repro/internal/objects"
 	"repro/internal/registers"
@@ -129,6 +131,21 @@ func QueueProtocol(sys *sim.System, q *objects.Queue, proposals [2]sim.Value) []
 	return progs
 }
 
+// renderedLess reports fmt.Sprint(a) < fmt.Sprint(b): the order in
+// which the protocols pick the smallest announced value. It compares
+// renderings, so 100 sorts before 99. Two ints are rendered into stack
+// buffers; any other value goes through fmt (an objects.Symbol prints
+// ⊥ for Bottom).
+func renderedLess(a, b sim.Value) bool {
+	x, xok := a.(int)
+	y, yok := b.(int)
+	if !xok || !yok {
+		return fmt.Sprint(a) < fmt.Sprint(b)
+	}
+	var bx, by [20]byte
+	return bytes.Compare(strconv.AppendInt(bx[:0], int64(x), 10), strconv.AppendInt(by[:0], int64(y), 10)) < 0
+}
+
 // RWAttempt returns n programs attempting consensus with only
 // read/write registers: announce, snapshot all announcements, decide
 // the minimum announced value. It is doomed by FLP/Loui–Abu-Amara —
@@ -148,7 +165,7 @@ func RWAttempt(sys *sim.System, name string, proposals []sim.Value) []sim.Progra
 				if v == nil {
 					continue
 				}
-				if fmt.Sprint(v) < fmt.Sprint(best) {
+				if renderedLess(v, best) {
 					best = v
 				}
 			}
@@ -197,7 +214,7 @@ func TournamentAttempt(sys *sim.System, semi, final *objects.TestAndSet, proposa
 			best := sim.Value(nil)
 			for j := 0; j < 3; j++ {
 				if w := finalAnn.Read(e, j); w != nil {
-					if best == nil || fmt.Sprint(w) < fmt.Sprint(best) {
+					if best == nil || renderedLess(w, best) {
 						best = w
 					}
 				}
@@ -239,7 +256,7 @@ func RWCareful(sys *sim.System, name string, proposals []sim.Value) []sim.Progra
 						complete = false
 						break
 					}
-					if best == nil || fmt.Sprint(v) < fmt.Sprint(best) {
+					if best == nil || renderedLess(v, best) {
 						best = v
 					}
 				}

@@ -159,9 +159,8 @@ func (m *witnessMachine) Finish(v sim.Value) (bool, sim.Value, error) {
 	case 2:
 		return true, v, nil
 	default:
-		// The same nil-skipping rendered-order minimum as the Program
-		// form's announceHelper.smallest.
-		if v != nil && (m.best == nil || fmt.Sprint(v) < fmt.Sprint(m.best)) {
+		// Skip empty cells; keep the rendered-order minimum.
+		if v != nil && (m.best == nil || renderedLess(v, m.best)) {
 			m.best = v
 		}
 		m.j++
@@ -350,7 +349,7 @@ func (m *rwMachine) Finish(v sim.Value) (bool, sim.Value, error) {
 		m.pc = 1
 		return false, nil, nil
 	}
-	if v != nil && fmt.Sprint(v) < fmt.Sprint(m.best) {
+	if v != nil && renderedLess(v, m.best) {
 		m.best = v
 	}
 	m.pc++
@@ -384,15 +383,15 @@ func RWMachines(sys *sim.System, name string, proposals []sim.Value) []sim.Machi
 	return ms
 }
 
-// degradeMachine is one process of DegradingCASProtocol as a state
-// machine. Program counters:
+// degradeMachine is one process of DegradingCASMachines. Program
+// counters:
 //
 //	0 announce · 1 c&s · 2 read · 3 adopt winner's announcement ·
 //	4 scan published decisions (j) · 5 fold announcements (j, best) ·
 //	6 publish own decision, then decide
 //
-// Every transition mirrors the Program's control flow, including the
-// failed-object sentinel checks (which arrive as ordinary values).
+// The failed-object sentinel arrives as an ordinary value and is checked
+// after the c&s and after the read.
 type degradeMachine struct {
 	obj      sim.Object
 	ann, dec *registers.Array
@@ -474,7 +473,7 @@ func (m *degradeMachine) Finish(v sim.Value) (bool, sim.Value, error) {
 			m.best = m.props[m.i]
 		}
 	case 5:
-		if v != nil && fmt.Sprint(v) < fmt.Sprint(m.best) {
+		if v != nil && renderedLess(v, m.best) {
 			m.best = v
 		}
 		m.j++
@@ -504,8 +503,18 @@ func (m *degradeMachine) Restore(r *sim.SnapReader) {
 	m.decision = r.Value()
 }
 
-// DegradingCASMachines is DegradingCASProtocol in machine form; like
-// it, the n ≤ k−1 capacity precondition is the caller's job.
+// DegradingCASMachines returns n machines solving consensus over obj,
+// hardened against object failure: obj is a compare&swap-style object —
+// normally a faults.Wrap around objects.NewCAS — and a process that
+// observes it failed (the ErrObjectFailed sentinel) degrades to
+// registers only instead of crashing: it adopts any decision already
+// published by a compare&swap-path decider, else falls back to the
+// RWAttempt rule (decide the minimum announced proposal). Deciders on
+// every path publish before returning, so the fallback disagrees only
+// on the schedules where FLP says it must be able to. Unlike
+// CASMachines the capacity precondition n ≤ k−1 is the caller's job —
+// obj is opaque here, and the hierarchy checks deliberately probe
+// over-capacity.
 func DegradingCASMachines(sys *sim.System, obj sim.Object, proposals []sim.Value) []sim.Machine {
 	n := len(proposals)
 	ann := registers.NewArray(sys, obj.Name()+".ann", n, nil)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/election"
 	"repro/internal/explore"
 	"repro/internal/objects"
+	"repro/internal/registers"
 	"repro/internal/sim"
 )
 
@@ -19,7 +20,8 @@ import (
 // terminal run enumerated and checked — under four engines:
 //
 //	replay-walker    one system execution per tree node (VisitReplay,
-//	                 the original engine, kept as the §5.2 baseline)
+//	                 the original engine, the tests' oracle and the
+//	                 §5.2 baseline)
 //	path-engine      one system execution per terminal run (Visit)
 //	pruned           path engine + state-fingerprint transposition
 //	                 table (Run with WithPrune)
@@ -246,6 +248,55 @@ func BenchmarkResilience(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "runs/s")
+			})
+		}
+	}
+}
+
+// BenchmarkAblationReplay (DESIGN.md §5.2): exploration cost as
+// schedule counts grow, ablated across the three engines — the
+// original per-node replay walker, the per-run path engine, and the
+// path engine with state-fingerprint pruning.
+func BenchmarkAblationReplay(b *testing.B) {
+	engines := []struct {
+		name string
+		runs func(explore.Builder) int
+	}{
+		{"replay-walker", func(builder explore.Builder) int {
+			n, _ := explore.VisitReplay(builder, explore.Options{}, func(explore.Outcome) bool { return true })
+			return n
+		}},
+		{"path-engine", func(builder explore.Builder) int {
+			n, _ := explore.Visit(builder, explore.Options{}, func(explore.Outcome) bool { return true })
+			return n
+		}},
+		{"pruned", func(builder explore.Builder) int {
+			c := explore.Run(builder, explore.Options{Prune: true}, nil)
+			return c.Complete + c.Incomplete
+		}},
+	}
+	for _, steps := range []int{2, 3, 4} {
+		builder := func() *sim.System {
+			sys := sim.NewSystem()
+			r := registers.NewMWMR("r", 0)
+			sys.Add(r)
+			sys.SpawnN(2, func(sim.ProcID) sim.Program {
+				return func(e *sim.Env) (sim.Value, error) {
+					for j := 0; j < steps; j++ {
+						r.Read(e)
+					}
+					return nil, nil
+				}
+			})
+			return sys
+		}
+		for _, eng := range engines {
+			b.Run(fmt.Sprintf("steps=%d/%s", steps, eng.name), func(b *testing.B) {
+				var runs int
+				for i := 0; i < b.N; i++ {
+					runs += eng.runs(builder)
+				}
+				b.ReportMetric(float64(runs)/float64(b.N), "schedules")
 			})
 		}
 	}

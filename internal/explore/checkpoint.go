@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -26,14 +29,15 @@ import (
 // the census replays the ones it reports, so the file stays small and
 // plain JSON.
 
-// Checkpoint configures RunCheckpointed.
+// Checkpoint configures the checkpoint loop of RunCheckpointed and
+// ExploreSubtree.
 type Checkpoint struct {
 	// Path is the checkpoint file. It is written atomically
 	// (temp file + rename), so a kill mid-save leaves the previous
-	// checkpoint intact.
+	// checkpoint intact. Empty disables persistence.
 	Path string
-	// Every saves the file after every Every newly completed roots
-	// (plus once at the end). Zero means 8.
+	// Every saves the file after every Every newly settled roots (plus
+	// once at the end if a settled root is still unsaved). Zero means 8.
 	Every int
 	// Resume loads Path before exploring, crediting its recorded roots
 	// — provided its key matches this builder/options frontier; a
@@ -54,7 +58,7 @@ type CheckpointStats struct {
 	TotalRoots int
 	// ResumedRoots is how many were credited from the checkpoint file.
 	ResumedRoots int
-	// Saves counts checkpoint writes (including the final one).
+	// Saves counts checkpoint writes.
 	Saves int
 	// Retries and Requeues count supervisor recoveries during the run
 	// (failed-attempt retries and watchdog requeues respectively).
@@ -90,10 +94,11 @@ type ckFile struct {
 // RunCheckpointed is Run with periodic progress persistence. It
 // explores the frontier roots on the work-stealing pool with
 // Options.Workers workers — donation, orbit-twin skipping, retry with
-// backoff, the stall watchdog and chaos all as in Run — records each
-// root as it settles, saves every Checkpoint.Every settled roots, and —
-// with Checkpoint.Resume — credits roots recorded by a previous
-// (interrupted) invocation with the same builder and options. The final
+// backoff, the stall watchdog and chaos all as in Run — through the
+// checkpoint loop (DistPlan.checkpointed): each root is recorded as it
+// settles, the file is saved every Checkpoint.Every settled roots, and —
+// with Checkpoint.Resume — roots recorded by a previous (interrupted)
+// invocation with the same builder and options are credited. The final
 // census is bit-identical to Run's, violation representatives
 // included; like every pooled census, MaxRuns is enforced per pool item
 // rather than globally.
@@ -108,31 +113,46 @@ type ckFile struct {
 // If the tree cannot be frontier-split under MaxRuns, it falls back to
 // a plain Run with no checkpointing (stats zero).
 func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint) (*Census, CheckpointStats, error) {
-	var stats CheckpointStats
 	pl, ok := NewDistPlan(b, opts, check)
 	if !ok {
-		return Run(b, opts, check), stats, nil
+		return Run(b, opts, check), CheckpointStats{}, nil
 	}
-	stats.TotalRoots = len(pl.Roots())
+	var table *pruneTable
+	if pl.opts.Prune {
+		table = newPruneTable(pl.opts.PruneTableEntries)
+	}
+	r, stats, err := pl.checkpointed(table, ck, nil)
+	if err != nil {
+		return nil, stats, err
+	}
+	return r.census(pl), stats, nil
+}
+
+// checkpointed is the one checkpoint loop, behind RunCheckpointed,
+// ExploreSubtree and DistPlan.ExploreRootLocal. It credits the roots
+// LoadCheckpoint finds in ck.Path (with ck.Resume), runs the rest on
+// the work-stealing pool sharing table, records each root from the
+// pool's onSettle, and saves every ck.Every settled roots. Mid-run
+// saves are best-effort: a failed one leaves its roots unsaved for the
+// next. At the end the loop saves only if a settled root is still
+// unsaved, and that save's error is its error. beat, when non-nil, is
+// bumped on every engine step. An empty ck.Path loads and saves
+// nothing.
+func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func()) (*pooled, CheckpointStats, error) {
+	stats := CheckpointStats{TotalRoots: len(pl.Roots())}
 	done := make(map[int]RootSummary)
 	var resumed map[int]RootSummary
-	if ck.Resume {
+	if ck.Resume && ck.Path != "" {
 		var err error
 		if resumed, stats.Warning, err = pl.LoadCheckpoint(ck.Path); err != nil {
 			return nil, stats, err
 		}
-		for i, r := range resumed {
-			done[i] = r
-		}
+		maps.Copy(done, resumed)
 		stats.ResumedRoots = len(resumed)
 	}
 	every := ck.Every
 	if every <= 0 {
 		every = 8
-	}
-	var table *pruneTable
-	if pl.opts.Prune {
-		table = newPruneTable(pl.opts.PruneTableEntries)
 	}
 
 	// stop lets the stopAfterRoots test hook cancel the pool through
@@ -145,7 +165,7 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 		newly    int
 		hookStop bool
 	)
-	save := func() error { // callers hold saveMu
+	save := func() error { // callers hold saveMu, or the pool is done
 		if err := pl.SaveCheckpoint(ck.Path, done); err != nil {
 			return err
 		}
@@ -153,43 +173,46 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 		unsaved = 0
 		return nil
 	}
-	c, cfg := poolCensus(ctx, pl, table, resumed, func(i int, r RootSummary) {
-		saveMu.Lock()
-		done[i] = r
-		newly++
-		unsaved++
-		if unsaved >= every {
-			save() // best-effort mid-run; the final save reports errors
+	var onSettle func(int, RootSummary)
+	if ck.Path != "" {
+		onSettle = func(i int, r RootSummary) {
+			saveMu.Lock()
+			done[i] = r
+			newly++
+			if unsaved++; unsaved >= every {
+				_ = save() // best-effort: a failed save leaves its roots to the next
+			}
+			stopNow := ck.stopAfterRoots > 0 && newly >= ck.stopAfterRoots && !hookStop
+			hookStop = hookStop || stopNow
+			saveMu.Unlock()
+			if stopNow {
+				stop()
+			}
 		}
-		stopNow := ck.stopAfterRoots > 0 && newly >= ck.stopAfterRoots && !hookStop
-		hookStop = hookStop || stopNow
-		saveMu.Unlock()
-		if stopNow {
-			stop()
+	}
+	r := runPool(ctx, pl, table, resumed, onSettle, beat)
+	stats.Retries = int(r.cfg.stats.Retries.Load())
+	stats.Requeues = int(r.cfg.stats.Requeues.Load())
+	if unsaved > 0 {
+		if err := save(); err != nil {
+			return nil, stats, fmt.Errorf("explore: checkpoint save: %w", err)
 		}
-	})
-	stats.Retries = int(cfg.stats.Retries.Load())
-	stats.Requeues = int(cfg.stats.Requeues.Load())
-
-	saveMu.Lock()
-	err := save()
-	saveMu.Unlock()
-	if err != nil {
-		return nil, stats, fmt.Errorf("explore: checkpoint save: %w", err)
 	}
 	if hookStop {
 		return nil, stats, errStopped
 	}
-	return c, stats, nil
+	return r, stats, nil
 }
 
 // LoadCheckpoint loads a checkpoint file for resume and returns the
-// recorded roots it credits. It is the one resume routine —
-// RunCheckpointed, ExploreSubtree and the census daemon's coordinator
-// all go through it: a missing file is a silent fresh start, a corrupt
-// or foreign file is ignored with a warning, and a file recording the
-// same exploration under different engine options is a hard error.
-// Records carrying the legacy Err field are not credited.
+// recorded roots it credits. It is the one resume routine — the
+// checkpoint loop (RunCheckpointed, ExploreSubtree) and the census
+// daemon's coordinator all go through it: a missing file is a silent
+// fresh start, a corrupt or foreign file is ignored with a warning, and
+// a file recording the same exploration under different engine options
+// is a hard error. Records carrying the legacy Err field are not
+// credited, nor — with a warning — records CheckSummary refuses: those
+// roots are explored again.
 func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
 	f, warn := loadCheckpointTolerant(path)
 	switch {
@@ -202,7 +225,7 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 		// explore under the wrong reduction/budget settings. (Files from
 		// before the Frontier/Opts split, and subtree checkpoints, carry
 		// neither field and start fresh with a warning.)
-		if f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
+		if p.optsFP != "" && f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
 			return nil, "", fmt.Errorf(
 				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
 				path, f.Opts, p.optsFP)
@@ -210,13 +233,56 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
 	}
 	done := make(map[int]RootSummary)
+	bad, first := 0, -1
+	var firstErr error
 	for k, v := range f.Done {
-		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(p.items) &&
-			p.items[i].prefix != nil && v.Err == "" {
-			done[i] = v
+		i, err := strconv.Atoi(k)
+		if err != nil || i < 0 || i >= len(p.items) || p.items[i].prefix == nil || v.Err != "" {
+			continue
+		}
+		if err := p.CheckSummary(v); err != nil {
+			if bad++; first < 0 || i < first {
+				first, firstErr = i, err
+			}
+			continue
+		}
+		done[i] = v
+	}
+	if bad > 0 {
+		warn = fmt.Sprintf("checkpoint: %d recorded roots not credited (root %d: %v); exploring them again", bad, first, firstErr)
+	}
+	return done, warn, nil
+}
+
+// CheckSummary reports why r cannot be the summary of a root of the
+// plan: a negative count, or a representative schedule holding a choice
+// the walk never makes — a fault mode outside Options.FaultModes, a
+// crash and a fault at once, or a process ID outside the 0..65535 that
+// dfsKey encodes. LoadCheckpoint does not credit such a record, and the
+// census daemon's coordinator fails a delivery of one.
+func (p *DistPlan) CheckSummary(r RootSummary) error {
+	if r.Complete < 0 || r.Incomplete < 0 || r.Violations < 0 {
+		return errors.New("negative count")
+	}
+	for key, n := range r.Outcomes {
+		if n < 0 {
+			return fmt.Errorf("negative count for outcome %s", key)
 		}
 	}
-	return done, "", nil
+	for _, sched := range r.Reps {
+		for _, c := range sched {
+			switch {
+			case c.Pick < 0 || c.Pick > 0xffff:
+				return fmt.Errorf("representative %s: process %d outside 0..65535", FormatSchedule(sched), c.Pick)
+			case c.Fault == sim.FaultNone:
+			case c.Crash:
+				return fmt.Errorf("representative %s: a crash and a fault at once", FormatSchedule(sched))
+			case !slices.Contains(p.opts.FaultModes, c.Fault):
+				return fmt.Errorf("representative %s: fault mode %v is not enumerated", FormatSchedule(sched), c.Fault)
+			}
+		}
+	}
+	return nil
 }
 
 // SaveCheckpoint persists the completed roots atomically and durably,
@@ -304,14 +370,15 @@ func loadCheckpointTolerant(path string) (*ckFile, string) {
 // before the atomic rename and the parent directory after it, so a
 // machine crash cannot surface an empty or stale file under the final
 // name despite the rename's atomicity. The directory sync is
-// best-effort — not every filesystem supports it.
+// best-effort — not every filesystem supports it. A failed create,
+// write or fsync leaves the previous file under the final name.
 func saveCheckpoint(path string, f *ckFile) error {
 	data, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tf, err := createTemp(tmp)
 	if err != nil {
 		return err
 	}
@@ -334,4 +401,22 @@ func saveCheckpoint(path string, f *ckFile) error {
 		dir.Close()
 	}
 	return nil
+}
+
+// tempFile is what a checkpoint save writes its temp file through.
+type tempFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// createTemp creates a checkpoint save's temp file. It is a variable so
+// tests can inject write-side faults: a failing create, a short write,
+// a failing fsync.
+var createTemp = func(name string) (tempFile, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/sim"
@@ -236,15 +237,19 @@ func (p *DistPlan) OptionsFingerprint() string { return p.optsFP }
 func (p *DistPlan) Key() uint64 { return p.key }
 
 // ExploreRootLocal fully explores root i in this process — the
-// coordinator's degraded mode when no remote workers are available.
-// Roots explored locally share one transposition table. cancelled is
-// true when ctx ended the attempt; the partial summary must be
-// discarded.
-func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, bool) {
+// coordinator's degraded mode when no remote workers are available. It
+// walks the root as ExploreSubtree walks an unsplit subtree, on a
+// one-worker pool, and roots explored locally share one transposition
+// table. The error is ctx's when ctx ended the attempt, or names the
+// root when the pool lost it past its attempt budget.
+func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, error) {
 	if p.opts.Prune {
 		p.tableOnce.Do(func() { p.table = newPruneTable(p.opts.PruneTableEntries) })
 	}
-	return exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
+	opts := p.opts
+	opts.Context, opts.Workers = ctx, 1
+	r, _, err := subtreePlan(p.b, opts, p.check, p.items[i].prefix, nil).walk(p.table, Checkpoint{}, nil)
+	return r, err
 }
 
 // Merge folds per-root summaries back into a census in DFS root order
@@ -282,7 +287,7 @@ type folded struct {
 }
 
 // fold is the one root-order merge behind every split census: the pool
-// census, RunCheckpointed, Merge and ExploreSubtree's sub-roots. It
+// (Run, RunCheckpointed, ExploreSubtree's sub-roots) and Merge. It
 // walks the frontier in DFS order into total, classifying leaves and
 // merging each root's summary, where root(i) reports root i's summary,
 // whether an item of it hit MaxRuns, and whether the summary covers the
@@ -354,17 +359,10 @@ func FingerprintOptions(b Builder, opts Options) string {
 
 // SubtreeCheckpoint configures ExploreSubtree's in-flight progress
 // persistence: the leased subtree is split again at a shallow
-// sub-frontier and completed sub-roots are recorded in Path, so a
-// worker killed mid-subtree resumes from its last save instead of
-// restarting the whole work item.
-type SubtreeCheckpoint struct {
-	// Path is the checkpoint file; empty disables checkpointing.
-	Path string
-	// Every saves after this many newly completed sub-roots (0 = 4).
-	Every int
-	// Resume credits Path's recorded sub-roots when it matches.
-	Resume bool
-}
+// sub-frontier and settled sub-roots are recorded in Path, so a worker
+// killed mid-subtree resumes from its last save instead of restarting
+// the whole work item. It is the checkpoint loop's one config.
+type SubtreeCheckpoint = Checkpoint
 
 // SubtreeStats reports what ExploreSubtree did.
 type SubtreeStats struct {
@@ -380,12 +378,17 @@ type SubtreeStats struct {
 
 // ExploreSubtree fully explores the subtree rooted at prefix — one
 // distributed work item — and returns its summary, bit-identical in
-// every count to the same subtree explored inside a local census.
-// beat, when non-nil, is bumped on engine progress (the caller's cue
-// to renew its lease: a wedged exploration stops beating and the
-// coordinator's lease expiry takes over). A context cancellation
-// (lease revoked, shutdown) returns ctx's error after flushing the
-// checkpoint; the partial summary is discarded.
+// every count to the same subtree explored inside a local census. It is
+// a one-worker pooled census of the subtree (whatever Options.Workers
+// says) through the checkpoint loop: with a checkpoint path the subtree
+// is split at a sub-frontier whose sub-roots are its pool roots, else
+// the prefix is the one root. A panicking attempt is retried under the
+// supervisor's policy; a sub-root lost past its attempt budget is an
+// error naming it. beat, when non-nil, is bumped on every engine step
+// (the caller's cue to renew its lease: a wedged exploration stops
+// beating and the coordinator's lease expiry takes over). A context
+// cancellation (lease revoked, shutdown) returns ctx's error after
+// flushing the checkpoint; the partial summary is discarded.
 func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
 	opts = opts.withDefaults()
 	var table *pruneTable
@@ -393,107 +396,51 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 		opts = resolveSymmetry(b, opts)
 		table = newPruneTable(opts.PruneTableEntries)
 	}
-	var stats SubtreeStats
-	if ck.Path == "" {
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, prefix, beat)
-		if cancelled {
-			return RootSummary{}, stats, ctx.Err()
-		}
-		return r, stats, nil
+	opts.Context, opts.Workers = ctx, 1
+	var items []frontierItem
+	if ck.Path != "" {
+		items = subFrontier(ctx, b, opts, prefix)
 	}
+	sub := subtreePlan(b, opts, check, prefix, items)
+	var stats SubtreeStats
+	if items != nil {
+		stats.SubRoots = len(sub.Roots())
+	}
+	r, ckStats, err := sub.walk(table, ck, beat)
+	stats.Resumed, stats.Saves, stats.Warning = ckStats.ResumedRoots, ckStats.Saves, ckStats.Warning
+	return r, stats, err
+}
 
-	// The sub-checkpoint key extends the options fold with the work
-	// item's own prefix, so files from different roots (or jobs) never
-	// cross-resume. It records no frontier/options pair: a mismatched
-	// file is always a fresh start.
+// subtreePlan is the plan of the subtree under prefix: the sub-frontier
+// items, or the prefix as the one root when items is nil. Its checkpoint
+// key extends the options fold with the prefix, so files from different
+// roots (or jobs) never cross-resume. It records no frontier/options
+// pair: a mismatched file is always a fresh start.
+func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, items []frontierItem) *DistPlan {
 	key := foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix))
-	items := subFrontier(ctx, b, opts, prefix)
-	mono := items == nil
-	if mono {
-		// Not splittable: explore monolithically, with a single-record
-		// checkpoint so a completed-but-undelivered item still resumes
-		// instantly.
+	if items == nil {
 		items = []frontierItem{{prefix: prefix}}
 		key = foldString(key, "|mono")
 	} else {
 		key = foldFrontier(key, items)
-		for _, it := range items {
-			if it.prefix != nil {
-				stats.SubRoots++
-			}
-		}
 	}
-	sub := &DistPlan{b: b, opts: opts, check: check, items: items, key: key}
-	done := make(map[int]RootSummary)
-	if ck.Resume {
-		resumed, warn, _ := sub.LoadCheckpoint(ck.Path) // never refuses: no options recorded
-		for i, r := range resumed {
-			done[i] = r
-		}
-		stats.Resumed, stats.Warning = len(resumed), warn
-	}
-	every := ck.Every
-	if every <= 0 {
-		every = 4
-	}
-	unsaved := 0
-	save := func() error {
-		if err := sub.SaveCheckpoint(ck.Path, done); err != nil {
-			return err
-		}
-		stats.Saves++
-		unsaved = 0
-		return nil
-	}
-	for i, it := range items {
-		if _, ok := done[i]; ok || it.prefix == nil {
-			continue
-		}
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, it.prefix, beat)
-		if cancelled {
-			if !mono {
-				_ = save() // flush progress; the error is the cancellation
-			}
-			return RootSummary{}, stats, ctx.Err()
-		}
-		done[i] = r
-		if beat != nil {
-			beat()
-		}
-		if unsaved++; unsaved >= every {
-			if err := save(); err != nil {
-				return RootSummary{}, stats, err
-			}
-		}
-	}
-	if !mono || unsaved > 0 {
-		if err := save(); err != nil {
-			return RootSummary{}, stats, err
-		}
-	}
-	if mono {
-		return done[0], stats, nil
-	}
-
-	// Deterministic merge in DFS sub-root order — identical to the
-	// monolithic walk of the same subtree in every count and in the
-	// first ≤MaxRecordedViolations representatives.
-	ids := newOutcomeIDs()
-	total := newSummary()
-	f := sub.fold(total, ids, func(i int) (*summary, bool, bool) {
-		return done[i].summary(ids, opts.FaultModes), done[i].Capped, true
-	}, nil)
-	return total.record(ids, opts.FaultModes, !f.exhaustive || total.saturated()), stats, nil
+	return &DistPlan{b: b, opts: opts, check: check, items: items, key: key}
 }
 
-// exploreRoot fully explores one subtree on the calling goroutine;
-// panics propagate. A true second return value means the context was
-// cancelled mid-root and the partial record must be discarded.
-func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (RootSummary, bool) {
-	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, root: prefix, ctx: ctx, onStep: beat}
-	en.run()
-	if en.cancelled {
-		return RootSummary{}, true
+// walk runs the plan's roots through the checkpoint loop and folds them
+// into the summary of the subtree they partition — identical to the
+// monolithic walk of that subtree in every count and in the first
+// ≤MaxRecordedViolations representatives. A lost root is an error
+// naming it, and a cancelled walk returns the context's error.
+func (p *DistPlan) walk(table *pruneTable, ck Checkpoint, beat func()) (RootSummary, CheckpointStats, error) {
+	r, stats, err := p.checkpointed(table, ck, beat)
+	switch {
+	case err != nil:
+		return RootSummary{}, stats, err
+	case len(r.failures) > 0:
+		return RootSummary{}, stats, fmt.Errorf("explore: %v", r.failures[0])
+	case r.cancelled:
+		return RootSummary{}, stats, p.opts.ctx().Err()
 	}
-	return en.acc.record(en.ids, opts.FaultModes, en.capped), false
+	return r.total.record(r.ids, p.opts.FaultModes, !r.exhaustive || r.total.saturated()), stats, nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the path-based exploration engine that replaced the
-// per-node replay walker (kept as VisitReplay for cross-checking and
-// the DESIGN.md §5.2 ablation). The old walker rebuilt and re-ran the
+// per-node replay walker (now the tests' VisitReplay oracle and the
+// DESIGN.md §5.2 ablation). The old walker rebuilt and re-ran the
 // system once per tree NODE, costing O(depth) simulated steps each; the
 // path engine rebuilds once per TERMINAL run: a probe replays the
 // current path and then keeps descending — always taking the first

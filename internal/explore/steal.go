@@ -24,9 +24,9 @@ import (
 // may split off, and when a root settles or fails. The pool keeps the
 // workers, the queue wait, the hungry flag, the backoff sleeps, the
 // stall watchdog and one summary per root. A settled root is one
-// EventResolved (EventFailed if lost), one onSettle call
-// (RunCheckpointed's checkpoint record), and one summary for the
-// root-order merge (DistPlan.fold). A cancelled pool still counts each
+// EventResolved (EventFailed if lost), one onSettle call (the checkpoint
+// loop's record, checkpoint.go), and one summary for the root-order
+// merge (DistPlan.fold). A cancelled pool still counts each
 // live attempt's partial walk into its root, but never settles it.
 // Counts stay bit-identical to the sequential walk: summaries merge by
 // addition, violation representatives keep DFS order (see rep), and
@@ -54,6 +54,9 @@ type stealPool struct {
 	// onSettle, when non-nil, observes each root that settles whole,
 	// from the worker goroutine that settled it (p.mu not held).
 	onSettle func(root int, r RootSummary)
+	// beat, when non-nil, is bumped on every engine step of every
+	// attempt (a remote worker's lease renewal cue).
+	beat func()
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -79,15 +82,25 @@ type stealPool struct {
 	finOnce  sync.Once
 }
 
-// poolCensus explores the roots of pl on the work-stealing pool,
-// sharing table (nil: unpruned), and folds them in root order into the
-// census. Roots in resumed were settled by an earlier run and are
-// credited, not explored; orbit twins are never enqueued — the fold
-// credits them from their representative. onSettle observes each root
-// that settles here. The supervision config is returned for its
-// counters.
-func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
-	onSettle func(root int, r RootSummary)) (*Census, *supCfg) {
+// pooled is a pool run folded in root order: the census total, the
+// interner of its outcome IDs, what the fold learned, the supervision
+// config (for its counters) and, when pruned, the table's counters.
+type pooled struct {
+	total *summary
+	ids   *outcomeIDs
+	folded
+	cfg   *supCfg
+	prune *PruneStats
+}
+
+// runPool explores the roots of pl on the work-stealing pool, sharing
+// table (nil: unpruned), and folds them in root order. Roots in resumed
+// were settled by an earlier run and are credited, not explored; orbit
+// twins are never enqueued — the fold credits them from their
+// representative. onSettle observes each root that settles here, and
+// beat every engine step.
+func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
+	onSettle func(root int, r RootSummary), beat func()) *pooled {
 	opts := pl.opts
 	cfg := opts.supervise()
 	ids := newOutcomeIDs()
@@ -96,7 +109,7 @@ func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed ma
 	}
 	p := &stealPool{
 		ctx: ctx, cfg: cfg, b: cfg.wrapChaos(pl.b), opts: opts, check: pl.check, table: table, ids: ids,
-		onSettle: onSettle, ledger: NewLedger(cfg.maxAttempts),
+		onSettle: onSettle, beat: beat, ledger: NewLedger(cfg.maxAttempts),
 		acc: make([]*summary, len(pl.items)), capped: make([]bool, len(pl.items)),
 		running: make(map[*poolAttempt]struct{}), epoch: time.Now(), finished: make(chan struct{}),
 	}
@@ -127,23 +140,28 @@ func poolCensus(ctx context.Context, pl *DistPlan, table *pruneTable, resumed ma
 	// Every worker and the watchdog have exited: the root bookkeeping is
 	// final and read without p.mu (the fold calls back into the builder
 	// and the check).
-	total := newSummary()
-	f := pl.fold(total, ids, func(i int) (*summary, bool, bool) {
-		if r, ok := resumed[i]; ok {
-			return r.summary(ids, opts.FaultModes), r.Capped, true
+	r := &pooled{total: newSummary(), ids: ids, cfg: cfg}
+	r.folded = pl.fold(r.total, ids, func(i int) (*summary, bool, bool) {
+		if s, ok := resumed[i]; ok {
+			return s.summary(ids, opts.FaultModes), s.Capped, true
 		}
 		return p.acc[i], p.capped[i], p.ledger.Settled(i)
 	}, p.ledger.Failures())
-	c := pl.census(total, ids, f)
 	if table != nil {
-		st := table.statsSnapshot()
-		st.Donations = p.donations.Load()
-		st.Steals = p.steals.Load()
-		st.OrbitSkips = f.orbitSkips
-		opts.markReducers(st)
-		c.Prune = st
+		r.prune = table.statsSnapshot()
+		r.prune.Donations = p.donations.Load()
+		r.prune.Steals = p.steals.Load()
+		r.prune.OrbitSkips = r.orbitSkips
+		opts.markReducers(r.prune)
 	}
-	return c, cfg
+	return r
+}
+
+// census turns a pool run of pl into its Census.
+func (r *pooled) census(pl *DistPlan) *Census {
+	c := pl.census(r.total, r.ids, r.folded)
+	c.Prune = r.prune
+	return c
 }
 
 func (p *stealPool) finish() { p.finOnce.Do(func() { close(p.finished) }) }
@@ -263,9 +281,14 @@ func (p *stealPool) attempt(name string, a *poolAttempt) bool {
 	if c.Donor != "" && c.Donor != name {
 		p.steals.Add(1)
 	}
-	var beat func()
+	beat := p.beat
 	if p.cfg.stall > 0 {
-		beat = func() { a.hb.Add(1) }
+		beat = func() {
+			a.hb.Add(1)
+			if p.beat != nil {
+				p.beat()
+			}
+		}
 	}
 	en := &engine{
 		b: p.b, opts: p.opts, acc: newSummary(), check: p.check, ids: p.ids,

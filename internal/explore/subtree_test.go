@@ -1,0 +1,312 @@
+package explore
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"syscall"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// Tests for the policies of the one checkpoint loop as a leased subtree
+// meets them: a panicking attempt is retried and a lost sub-root comes
+// back as an error, a record no walk of the plan can produce is not
+// credited, and a failed save neither stops the walk nor costs the last
+// good file.
+
+// leasedPrefix is the work item of the subtree compat file: a subtree
+// of wideTree that splits into more than a handful of sub-roots.
+var leasedPrefix = []Choice{{Pick: 2}, {Pick: 0}}
+
+// TestExploreSubtreeLostSubRootIsError: a check or builder that panics
+// inside a leased subtree is retried under the supervisor's policy, and
+// once the attempts run out ExploreSubtree returns an error naming the
+// lost sub-root — split (with a checkpoint) or not — instead of letting
+// the panic kill the worker. The coordinator's local fallback walks a
+// root the same way.
+func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
+	opts := Options{MaxCrashes: 1}.With(fastRetries(2, nil))
+	checkPanics := func(res *sim.Result) error {
+		if DecisionFingerprint(res) == "[0 1 2]" {
+			panic("check bug")
+		}
+		return nil
+	}
+	var armed atomic.Bool
+	builderPanics := func() *sim.System {
+		if armed.Load() {
+			panic("builder bug")
+		}
+		return wideTree()
+	}
+	arm := func() { armed.Store(true) }
+	for _, tc := range []struct {
+		name  string
+		b     Builder
+		check func(*sim.Result) error
+		beat  func()
+		ck    bool
+		want  string // the lost subtree's prefix, as the error quotes it
+	}{
+		{"check-split", wideTree, checkPanics, nil, true, `subtree "2 0 `},
+		{"check-mono", wideTree, checkPanics, nil, false, `subtree "2 0"`},
+		{"builder-split", builderPanics, nil, arm, true, `subtree "2 0 `},
+		{"builder-mono", builderPanics, nil, arm, false, `subtree "2 0"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			armed.Store(false)
+			var ck SubtreeCheckpoint
+			if tc.ck {
+				ck = SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1, Resume: true}
+			}
+			sum, _, err := ExploreSubtree(context.Background(), tc.b, opts, tc.check, leasedPrefix, ck, tc.beat)
+			if err == nil {
+				t.Fatalf("lost subtree returned no error (summary %+v)", sum)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, tc.want) || !strings.Contains(msg, "lost after 2 attempts") || !strings.Contains(msg, " bug") {
+				t.Fatalf("error %q does not name the lost sub-root %s and its panic", msg, tc.want)
+			}
+			if !reflect.DeepEqual(sum, RootSummary{}) {
+				t.Fatalf("lost subtree returned a summary: %+v", sum)
+			}
+		})
+	}
+
+	t.Run("explore-root-local", func(t *testing.T) {
+		plan, ok := NewDistPlan(wideTree, opts, checkPanics)
+		if !ok {
+			t.Fatal("no split")
+		}
+		root := plan.Roots()[0]
+		if _, err := plan.ExploreRootLocal(context.Background(), root); err == nil ||
+			!strings.Contains(err.Error(), `subtree "`+FormatSchedule(plan.Prefix(root))+`"`) {
+			t.Fatalf("lost local root: err = %v, want one naming root %d", err, root)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := plan.ExploreRootLocal(ctx, root); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled local root: err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// TestCheckpointCorruptRepNotCredited: a complete checkpoint under the
+// right key in which every record carries a representative the plan
+// cannot produce — a garble fault in a fault-free census, which once
+// crashed the resume with an index out of range in scheduleOf — credits
+// nothing: the resume warns, explores every root again and lands on the
+// exact census and subtree summary.
+func TestCheckpointCorruptRepNotCredited(t *testing.T) {
+	opts := Options{MaxCrashes: 1, Workers: 2}
+	garble := func(t *testing.T, path string) {
+		t.Helper()
+		f, err := loadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, r := range f.Done {
+			r.Reps = [][]Choice{{{Pick: 0, Fault: sim.FaultGarble}}}
+			f.Done[k] = r
+		}
+		if err := saveCheckpoint(path, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("run-checkpointed", func(t *testing.T) {
+		want := Run(wideTree, opts, disagreeCheck)
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if _, _, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: path}); err != nil {
+			t.Fatal(err)
+		}
+		garble(t, path)
+		got, stats, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: path, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ResumedRoots != 0 || !strings.Contains(stats.Warning, "not credited") {
+			t.Fatalf("resume credited %d corrupt roots (warning %q)", stats.ResumedRoots, stats.Warning)
+		}
+		censusSame(t, "corrupt-rep", got, want)
+		sameReps(t, "corrupt-rep", got, want)
+	})
+
+	t.Run("explore-subtree", func(t *testing.T) {
+		want, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, SubtreeCheckpoint{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Resume: true}
+		if _, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, ck, nil); err != nil {
+			t.Fatal(err)
+		}
+		garble(t, ck.Path)
+		got, stats, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, ck, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Resumed != 0 || stats.Warning == "" {
+			t.Fatalf("resume credited %d corrupt sub-roots (warning %q)", stats.Resumed, stats.Warning)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("subtree\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// TestCheckSummary: the check LoadCheckpoint and the coordinator apply
+// to a recorded or delivered summary refuses exactly the records no
+// walk of the plan produces.
+func TestCheckSummary(t *testing.T) {
+	plan, ok := NewDistPlan(wideTree, Options{ObjectFaults: 1, FaultModes: []sim.FaultMode{sim.FaultCrash, sim.FaultOmission}}, nil)
+	if !ok {
+		t.Fatal("no split")
+	}
+	rep := func(cs ...Choice) RootSummary { return RootSummary{Complete: 1, Violations: 1, Reps: [][]Choice{cs}} }
+	for _, tc := range []struct {
+		name string
+		r    RootSummary
+		ok   bool
+	}{
+		{"valid", rep(Choice{Pick: 0}, Choice{Pick: 2, Crash: true}, Choice{Pick: 1, Fault: sim.FaultOmission}), true},
+		{"wide-pick", rep(Choice{Pick: 0xffff}), true},
+		{"negative-complete", RootSummary{Complete: -1}, false},
+		{"negative-incomplete", RootSummary{Incomplete: -1}, false},
+		{"negative-violations", RootSummary{Violations: -1}, false},
+		{"negative-outcome", RootSummary{Complete: 1, Outcomes: map[string]int{"[0]": -1}}, false},
+		{"negative-pick", rep(Choice{Pick: -1}), false},
+		{"pick-past-16-bits", rep(Choice{Pick: 0x10000}), false},
+		{"crash-and-fault", rep(Choice{Pick: 0, Crash: true, Fault: sim.FaultCrash}), false},
+		{"mode-not-enumerated", rep(Choice{Pick: 0, Fault: sim.FaultGarble}), false},
+	} {
+		if err := plan.CheckSummary(tc.r); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckSummary = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// faultyTemp is a checkpoint temp file whose write is short with ENOSPC
+// or whose fsync fails.
+type faultyTemp struct {
+	*os.File
+	short, failSync bool
+}
+
+func (f faultyTemp) Write(p []byte) (int, error) {
+	if f.short {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+func (f faultyTemp) Sync() error {
+	if f.failSync {
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+// injectSaveFault makes checkpoint saves fail with fault — "create",
+// "enospc" (a short write) or "fsync" — from the from-th save on (1-based),
+// or only at it when once is set.
+func injectSaveFault(t *testing.T, fault string, from int, once bool) {
+	t.Helper()
+	orig := createTemp
+	t.Cleanup(func() { createTemp = orig })
+	var n atomic.Int64
+	createTemp = func(name string) (tempFile, error) {
+		i := int(n.Add(1))
+		if i < from || once && i > from {
+			return orig(name)
+		}
+		if fault == "create" {
+			return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EACCES}
+		}
+		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return faultyTemp{File: f, short: fault == "enospc", failSync: fault == "fsync"}, nil
+	}
+}
+
+// TestCheckpointSaveFaults injects a failing create, a short write with
+// ENOSPC and a failing fsync into the checkpoint loop's saves. A failed
+// mid-run save does not stop the walk, which lands on the exact census
+// or summary; a failed final save makes RunCheckpointed and
+// ExploreSubtree return an error and no result; and the file under the
+// final name still loads as the last successful save.
+func TestCheckpointSaveFaults(t *testing.T) {
+	opts := Options{MaxCrashes: 1, Workers: 2}
+	want := Run(wideTree, opts, disagreeCheck)
+	wantSum, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, SubtreeCheckpoint{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := func(t *testing.T, path string) int {
+		t.Helper()
+		f, err := loadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("the last good checkpoint does not load: %v", err)
+		}
+		return len(f.Done)
+	}
+	// walks run the subtree or the census with a checkpoint at path and
+	// return what it returned: its result, how many roots it had, and its
+	// error.
+	walks := map[string]func(path string) (any, int, error){
+		"subtree": func(path string) (any, int, error) {
+			sum, st, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix,
+				SubtreeCheckpoint{Path: path, Every: 1}, nil)
+			return sum, st.SubRoots, err
+		},
+		"census": func(path string) (any, int, error) {
+			c, st, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: path, Every: 1})
+			return c, st.TotalRoots, err
+		},
+	}
+	for _, fault := range []string{"create", "enospc", "fsync"} {
+		for name, walk := range walks {
+			t.Run(fault+"/mid-run/"+name, func(t *testing.T) {
+				injectSaveFault(t, fault, 2, true)
+				path := filepath.Join(t.TempDir(), "ck.json")
+				got, roots, err := walk(path)
+				if err != nil {
+					t.Fatalf("a failed mid-run save stopped the walk: %v", err)
+				}
+				switch got := got.(type) {
+				case RootSummary:
+					if !reflect.DeepEqual(got, wantSum) {
+						t.Fatalf("subtree\n got %+v\nwant %+v", got, wantSum)
+					}
+				case *Census:
+					censusSame(t, fault, got, want)
+					sameReps(t, fault, got, want)
+				}
+				// A later save covered the lost one's roots.
+				if n := recorded(t, path); n != roots {
+					t.Fatalf("checkpoint records %d of %d roots", n, roots)
+				}
+			})
+			t.Run(fault+"/final/"+name, func(t *testing.T) {
+				injectSaveFault(t, fault, 3, false)
+				path := filepath.Join(t.TempDir(), "ck.json")
+				got, roots, err := walk(path)
+				if err == nil || !reflect.ValueOf(got).IsZero() {
+					t.Fatalf("failed final save: err = %v, result %+v; want an error and no result", err, got)
+				}
+				if n := recorded(t, path); n != 2 || roots <= 2 {
+					t.Fatalf("checkpoint records %d of %d roots, want the 2 of the last good save", n, roots)
+				}
+			})
+		}
+	}
+}

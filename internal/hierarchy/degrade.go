@@ -28,8 +28,8 @@ func CheckCASDegrading(k, n, faultBudget int, maxRuns int, modes []sim.FaultMode
 		sys := sim.NewSystem()
 		cas := faults.Wrap(objects.NewCAS("cas", k))
 		sys.Add(cas)
-		for _, p := range consensus.DegradingCASProtocol(sys, cas, props) {
-			sys.Spawn(p)
+		for _, m := range consensus.DegradingCASMachines(sys, cas, props) {
+			sys.SpawnMachine(m)
 		}
 		return sys
 	}

@@ -32,8 +32,8 @@ go test -race -count=1 ./internal/censusd/
 echo "== distributed-census client/worker under the race detector"
 go test -race -count=1 ./internal/distcensus/
 
-echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses, root ledger)"
-go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry' \
+echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses, root ledger, leased subtrees)"
+go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry|Subtree|DistPlan' \
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation, spec and audit refusals, subgroup specs)"
@@ -42,6 +42,11 @@ go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefus
 
 echo "== symmetry spec fuzzing: NewCanonicalizer must accept exactly the permutation groups"
 go test -run '^$' -fuzz '^FuzzNewCanonicalizer$' -fuzztime 10s ./internal/sim/
+
+# Seeds are whole checkpoint files, so minimizing a new input could take
+# the fuzzer's default minute; a 2 s cap keeps the 10 s spent fuzzing.
+echo "== checkpoint fuzzing: LoadCheckpoint never panics, credits only roots of the plan, and a resume from it never panics"
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 10s -fuzzminimizetime 2s ./internal/explore/
 
 echo "== symmetry at n=6: the reduced census of cas k=7 n=6 must count what plain pruning counts"
 n6json="$(go run ./cmd/explore -protocol cas -k 7 -n 6 -crashes 1 -symmetry -sleepsets \
