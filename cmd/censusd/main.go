@@ -40,11 +40,10 @@ func run() error {
 	workers := flag.Int("workers", 2, "concurrent jobs")
 	queueDepth := flag.Int("queue", 16, "admission queue depth; submissions beyond it are shed with 429")
 	ckEvery := flag.Int("checkpoint-every", 1, "save each job's checkpoint after this many completed subtree roots")
-	retries := flag.Int("retries", 0, "per-subtree retry attempts inside each job (0 = engine default)")
+	retries := flag.Int("retries", 0, "attempts per subtree inside each job, local or leased, before it is written off (0 = default 6)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "per-job stall watchdog: requeue a subtree whose worker makes no progress for this long (0 = off)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "distributed work-item lease duration; an unrenewed lease is requeued")
 	workerPoll := flag.Duration("worker-poll", 500*time.Millisecond, "lease-poll interval suggested to registering workers")
-	distRetries := flag.Int("dist-retries", 0, "lease grants per subtree root before it is abandoned (0 = default 6)")
 	storeMaxJobs := flag.Int("store-max-jobs", 0, "retain at most this many terminal jobs in the result cache, LRU-evicting past it (0 = unbounded)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "bound the terminal jobs' on-disk footprint in bytes (0 = unbounded)")
 	rate := flag.Float64("rate", 0, "per-client POST /jobs rate limit in requests/second (0 = off)")
@@ -67,13 +66,12 @@ func run() error {
 			MaxAttempts:  *retries,
 			StallTimeout: *stallTimeout,
 		},
-		LeaseTTL:        *leaseTTL,
-		WorkerPoll:      *workerPoll,
-		DistMaxAttempts: *distRetries,
-		StoreMaxJobs:    *storeMaxJobs,
-		StoreMaxBytes:   *storeMaxBytes,
-		RatePerSec:      *rate,
-		RateBurst:       *rateBurst,
+		LeaseTTL:      *leaseTTL,
+		WorkerPoll:    *workerPoll,
+		StoreMaxJobs:  *storeMaxJobs,
+		StoreMaxBytes: *storeMaxBytes,
+		RatePerSec:    *rate,
+		RateBurst:     *rateBurst,
 	})
 	if err != nil {
 		return err

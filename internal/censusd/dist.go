@@ -1,10 +1,8 @@
 package censusd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,16 +10,14 @@ import (
 
 	"repro/internal/distcensus"
 	"repro/internal/explore"
-	"repro/internal/sim"
 )
 
-// Coordinator side of the distributed census. A job that starts while
-// remote workers are live is run as a distJob: its frontier roots are
-// leased out over the /dist API, delivered summaries are merged in DFS
-// root order (bit-identical to a local run), and the root ledger
-// (explore.Ledger) settles every failure the chaos harness throws at
-// it. A lease is a ledger claim whose deadline heartbeats renew; the
-// coordinator's own fallback claims have none and never expire.
+// Coordinator side of the distributed census. Every job runs through
+// the checkpoint loop (explore.RunCheckpointed) on its own
+// work-stealing pool, and remote workers claim from that pool through
+// the job's seat (explore.RemoteSeat): a lease is a ledger claim whose
+// deadline heartbeats renew, a delivered summary settles its root like
+// a local one, and the pool's watchdog takes back lapsed leases.
 //
 //	pending --lease--> leased --result(gen ok)--> resolved
 //	   ^                  |
@@ -31,7 +27,9 @@ import (
 // A result under a superseded generation — a worker killed mid-lease and
 // resurrected after the root was reassigned — is stale (409) and never
 // merged; a repeated delivery is a duplicate. A root past its attempt
-// budget becomes a RootFailure (coverage deficit).
+// budget becomes a RootFailure (coverage deficit). While a remote
+// worker is live the job's local workers leave whole roots to the
+// fleet; when the fleet goes quiet they take them.
 
 // distDefaultTTL is the default lease duration.
 const distDefaultTTL = 10 * time.Second
@@ -39,98 +37,32 @@ const distDefaultTTL = 10 * time.Second
 // distDefaultPoll is the worker poll interval suggested at registration.
 const distDefaultPoll = 500 * time.Millisecond
 
-// distDefaultMaxAttempts bounds lease grants per root (expiries and
-// worker-reported errors both consume attempts). Higher than the local
-// supervisor's budget: losing a worker is routine, not pathological.
-const distDefaultMaxAttempts = 6
-
-// distJob drives one distributed job's ledger. It keeps the delivered
-// summaries and its counters; the ledger keeps everything else.
+// distJob adapts the wire to one running job's seat and keeps the
+// job's distribution counters.
 type distJob struct {
 	id   string
-	plan *explore.DistPlan
+	seat *explore.RemoteSeat
 	req  json.RawMessage
 	ttl  time.Duration
 	prog *progress
 	logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	ledger   *explore.Ledger
-	resolved map[int]explore.RootSummary
-
+	mu           sync.Mutex
 	staleResults int64
 	dupResults   int64
 	expiries     int64
-	requeues     int64
 	remoteRoots  int64
-	localRoots   int64
-
-	done     chan struct{}
-	doneOnce sync.Once
 }
 
-func newDistJob(id string, plan *explore.DistPlan, req json.RawMessage, resumed map[int]explore.RootSummary,
-	ttl time.Duration, maxAttempts int, prog *progress, logf func(string, ...any)) *distJob {
-	d := &distJob{
-		id: id, plan: plan, req: req, ttl: ttl, prog: prog, logf: logf,
-		ledger:   explore.NewLedger(maxAttempts),
-		resolved: make(map[int]explore.RootSummary),
-		done:     make(chan struct{}),
-	}
-	for _, root := range plan.Roots() {
-		if r, ok := resumed[root]; ok {
-			d.resolved[root] = r
-		} else {
-			d.ledger.Open(root, plan.Prefix(root))
-		}
-	}
-	d.stepped(nil) // every root resumed: done already
-	return d
-}
-
-// stepped reports ledger events to the job's progress, counters and log,
-// and closes done once every root is resolved or failed. Callers hold
-// d.mu.
-func (d *distJob) stepped(evs []explore.Event) {
-	for _, e := range evs {
-		switch e.Kind {
-		case explore.EventRetry, explore.EventRequeue:
-			d.requeues++
-		case explore.EventFailed:
-			d.logf("job %s root %d: abandoned after %d attempts: %s", d.id, e.Root, e.Attempt, e.Err)
-		}
-		d.prog.observe(e)
-	}
-	if d.ledger.Finished() {
-		d.doneOnce.Do(func() { close(d.done) })
-	}
-}
-
-// close stops the job: no more leases, and every heartbeat is gone.
-func (d *distJob) close() {
-	d.mu.Lock()
-	d.ledger.Close()
-	d.mu.Unlock()
-}
-
-// lease grants the next pending root to worker (nil: nothing to grant).
-// A local lease, the coordinator's own, never expires.
-func (d *distJob) lease(worker string, now time.Time, local bool) *distcensus.Lease {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var deadline int64
-	if !local {
-		deadline = now.Add(d.ttl).UnixNano()
-	}
-	c, ev, ok := d.ledger.Claim(worker, deadline)
+// lease grants the next whole root to worker (nil: nothing to grant).
+func (d *distJob) lease(worker string, now time.Time) *distcensus.Lease {
+	c, optsFP, ok := d.seat.Lease(worker, now)
 	if !ok {
 		return nil
 	}
-	d.stepped(ev)
 	return &distcensus.Lease{
 		JobID: d.id, Root: c.Root, Generation: c.Gen,
-		Prefix: c.Prefix, Request: d.req,
-		OptionsFP: d.plan.OptionsFingerprint(),
+		Prefix: c.Prefix, Request: d.req, OptionsFP: optsFP,
 		TTLMillis: int(d.ttl / time.Millisecond),
 	}
 }
@@ -138,76 +70,47 @@ func (d *distJob) lease(worker string, now time.Time, local bool) *distcensus.Le
 // heartbeat renews a lease; false means it is gone (requeued, resolved,
 // or the job is closing) and the worker should abandon the attempt.
 func (d *distJob) heartbeat(root, gen int, now time.Time) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ledger.Beat(d.ledger.Entry(root), gen, now.Add(d.ttl).UnixNano())
+	return d.seat.Beat(root, gen, now)
 }
 
 // deliver applies one result delivery and returns the verdict. An error
 // delivery fails the attempt; the root is requeued within its budget.
-func (d *distJob) deliver(worker string, root, gen int, sum explore.RootSummary, errStr string, local bool) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.ledger.Entry(root)
+func (d *distJob) deliver(worker string, root, gen int, sum explore.RootSummary, errStr string) string {
 	var v explore.Verdict
-	var ev []explore.Event
 	if errStr != "" {
-		if v, ev = d.ledger.Fail(e, gen, fmt.Sprintf("worker %s: %s", worker, errStr)); v == explore.VerdictAccepted {
-			d.ledger.Requeue(e)
-		}
+		v = d.seat.Fail(root, gen, fmt.Sprintf("worker %s: %s", worker, errStr))
 	} else {
-		v, ev = d.ledger.Deliver(e, gen)
+		v = d.seat.Deliver(root, gen, sum)
 	}
 	switch v {
 	case explore.VerdictStale:
 		// The generation guard: this attempt was superseded while the
 		// deliverer was dead or partitioned. Counting it would
 		// double-count the root (its current attempt merges too).
-		d.staleResults++
+		d.count(&d.staleResults)
 		d.logf("job %s root %d: stale result from %s (gen %d); rejected", d.id, root, worker, gen)
 		return distcensus.ResultStale
 	case explore.VerdictDuplicate:
-		d.dupResults++
+		d.count(&d.dupResults)
 		return distcensus.ResultDuplicate
 	}
 	if errStr == "" {
-		d.resolved[root] = sum
-		if local {
-			d.localRoots++
-		} else {
-			d.remoteRoots++
-		}
+		d.count(&d.remoteRoots)
 	}
-	d.stepped(ev)
 	return distcensus.ResultAccepted
 }
 
-// expire requeues every remote lease whose TTL has run out, returning
-// how many it reaped.
-func (d *distJob) expire(now time.Time) int {
+// count bumps one of the job's counters.
+func (d *distJob) count(n *int64) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	gone, ev := d.ledger.Expire(now.UnixNano(), "lease expired")
-	for _, c := range gone {
-		d.expiries++
-		d.logf("job %s root %d: lease held by %s expired (gen %d)", d.id, c.Root, c.Owner, c.Gen)
-	}
-	d.stepped(ev)
-	return len(gone)
+	*n++
+	d.mu.Unlock()
 }
 
-// resolvedCopy snapshots the resolved map for checkpointing/merging.
-func (d *distJob) resolvedCopy() map[int]explore.RootSummary {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return maps.Clone(d.resolved)
-}
-
-// failedCopy snapshots the abandoned roots.
-func (d *distJob) failedCopy() map[int]explore.RootFailure {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ledger.Failures()
+// expired counts and logs a lease the job's watchdog took back.
+func (d *distJob) expired(c explore.Claim) {
+	d.count(&d.expiries)
+	d.logf("job %s root %d: lease held by %s expired (gen %d)", d.id, c.Root, c.Owner, c.Gen)
 }
 
 // distJobView is the jobView's distribution block.
@@ -227,24 +130,27 @@ type distLeaseView struct {
 	Root       int       `json:"root"`
 	Worker     string    `json:"worker"`
 	Generation int       `json:"generation"`
-	Expires    time.Time `json:"expires"` // zero for the coordinator's own lease, which never expires
+	Expires    time.Time `json:"expires"`
 }
 
+// view renders the block: the seat's queue and leases, the roots
+// settled (resumed ones included), and the counters. Settled roots not
+// delivered remotely were walked by the job's own workers.
 func (d *distJob) view() *distJobView {
+	pending, resumed, leases := d.seat.View()
+	p := d.prog.view()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := &distJobView{
-		Pending: d.ledger.Queued(), Resolved: len(d.resolved),
-		RemoteRoots: d.remoteRoots, LocalRoots: d.localRoots,
+		Pending: pending, Resolved: resumed + int(p.RootsDone),
+		// A delivered root counts as remote at once, and as done once its
+		// checkpoint save is.
+		RemoteRoots: d.remoteRoots, LocalRoots: max(0, p.RootsDone-d.remoteRoots),
 		StaleResults: d.staleResults, DupResults: d.dupResults,
-		Expiries: d.expiries, Requeues: d.requeues,
+		Expiries: d.expiries, Requeues: p.Retries + p.Requeues,
 	}
-	for _, c := range d.ledger.Claims() {
-		lv := distLeaseView{Root: c.Root, Worker: c.Owner, Generation: c.Gen}
-		if c.Deadline != 0 {
-			lv.Expires = time.Unix(0, c.Deadline)
-		}
-		v.Leases = append(v.Leases, lv)
+	for _, c := range leases {
+		v.Leases = append(v.Leases, distLeaseView{Root: c.Root, Worker: c.Owner, Generation: c.Gen, Expires: time.Unix(0, c.Deadline)})
 	}
 	sort.Slice(v.Leases, func(a, b int) bool { return v.Leases[a].Root < v.Leases[b].Root })
 	return v
@@ -252,9 +158,8 @@ func (d *distJob) view() *distJobView {
 
 // distState is the server's worker registry and live distJob table.
 type distState struct {
-	ttl         time.Duration
-	poll        time.Duration
-	maxAttempts int
+	ttl  time.Duration
+	poll time.Duration
 
 	mu      sync.Mutex
 	workers map[string]time.Time // worker id -> last contact
@@ -266,18 +171,15 @@ type distState struct {
 	remoteRoots  int64
 }
 
-func newDistState(ttl, poll time.Duration, maxAttempts int) *distState {
+func newDistState(ttl, poll time.Duration) *distState {
 	if ttl <= 0 {
 		ttl = distDefaultTTL
 	}
 	if poll <= 0 {
 		poll = distDefaultPoll
 	}
-	if maxAttempts <= 0 {
-		maxAttempts = distDefaultMaxAttempts
-	}
 	return &distState{
-		ttl: ttl, poll: poll, maxAttempts: maxAttempts,
+		ttl: ttl, poll: poll,
 		workers: make(map[string]time.Time),
 		jobs:    make(map[string]*distJob),
 	}
@@ -307,11 +209,33 @@ func (ds *distState) liveWorkers(now time.Time) int {
 	return n
 }
 
-func (ds *distState) add(d *distJob) { ds.mu.Lock(); ds.jobs[d.id] = d; ds.mu.Unlock() }
+// open registers a distJob for job id, whose leases carry the request
+// req and whose events feed prog.
+func (ds *distState) open(id string, req json.RawMessage, prog *progress, logf func(string, ...any)) *distJob {
+	d := &distJob{id: id, req: req, ttl: ds.ttl, prog: prog, logf: logf}
+	d.seat = explore.NewRemoteSeat(ds.ttl, func() bool { return ds.liveWorkers(time.Now()) > 0 }, d.expired)
+	ds.mu.Lock()
+	ds.jobs[id] = d
+	ds.mu.Unlock()
+	return d
+}
+
 func (ds *distState) job(id string) *distJob {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	return ds.jobs[id]
+}
+
+// list snapshots the live distJobs in sorted-id order.
+func (ds *distState) list() []*distJob {
+	ds.mu.Lock()
+	out := make([]*distJob, 0, len(ds.jobs))
+	for _, d := range ds.jobs {
+		out = append(out, d)
+	}
+	ds.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
+	return out
 }
 
 // remove retires a finished distJob, folding its counters into the
@@ -333,18 +257,9 @@ func (ds *distState) remove(id string) {
 // nextLease scans live distJobs in sorted-id order for a grantable
 // root.
 func (ds *distState) nextLease(worker string, now time.Time) *distcensus.Lease {
-	ds.mu.Lock()
-	ids := make([]string, 0, len(ds.jobs))
-	for id := range ds.jobs {
-		ids = append(ids, id)
-	}
-	ds.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
-		if d := ds.job(id); d != nil {
-			if l := d.lease(worker, now, false); l != nil {
-				return l
-			}
+	for _, d := range ds.list() {
+		if l := d.lease(worker, now); l != nil {
+			return l
 		}
 	}
 	return nil
@@ -352,6 +267,10 @@ func (ds *distState) nextLease(worker string, now time.Time) *distcensus.Lease {
 
 // totals sums the lifetime counters plus every live job's.
 func (ds *distState) totals() (stale, dup, expiries, remote int64, leases int) {
+	for _, d := range ds.list() {
+		_, _, held := d.seat.View()
+		leases += len(held)
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	stale, dup, expiries, remote = ds.staleResults, ds.dupResults, ds.expiries, ds.remoteRoots
@@ -361,122 +280,9 @@ func (ds *distState) totals() (stale, dup, expiries, remote int64, leases int) {
 		dup += d.dupResults
 		expiries += d.expiries
 		remote += d.remoteRoots
-		leases += len(d.ledger.Claims())
 		d.mu.Unlock()
 	}
 	return
-}
-
-// runJobDistributed executes one job by leasing its frontier roots to
-// remote workers, falling back to local exploration whenever the fleet
-// goes quiet. Returns false when the exploration cannot be
-// frontier-split — the caller owns the plain local path and its exact
-// cap semantics.
-func (s *Server) runJobDistributed(ctx, jobCtx context.Context, js *jobState, id string, req Request,
-	builder explore.Builder, props []sim.Value, settle func(mutate func(j *Job))) bool {
-	plan, ok := explore.NewDistPlan(builder, req.Options(), req.Check(props))
-	if !ok {
-		return false
-	}
-	fail := func(err error) {
-		settle(func(j *Job) {
-			j.State = StateFailed
-			j.Error = err.Error()
-			t := time.Now().UTC()
-			j.FinishedAt = &t
-		})
-	}
-	ckPath := s.store.CheckpointPath(id)
-	resumed, warn, err := plan.LoadCheckpoint(ckPath)
-	if err != nil {
-		fail(err)
-		return true
-	}
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		fail(err)
-		return true
-	}
-	roots := plan.Roots()
-	dj := newDistJob(id, plan, reqJSON, resumed, s.dist.ttl, s.dist.maxAttempts, &js.progress, s.cfg.Logf)
-	s.dist.add(dj)
-	defer s.dist.remove(id)
-	s.cfg.Logf("job %s: distributing %d roots (%d resumed from checkpoint, %d live workers)",
-		id, len(roots), len(resumed), s.dist.liveWorkers(time.Now()))
-
-	saves := 0
-	lastSaved := len(resumed)
-	saveCk := func() {
-		done := dj.resolvedCopy()
-		if len(done) == lastSaved {
-			return
-		}
-		if err := plan.SaveCheckpoint(ckPath, done); err != nil {
-			s.cfg.Logf("job %s: checkpoint save: %v", id, err)
-			return
-		}
-		lastSaved = len(done)
-		saves++
-	}
-	ckInfo := func() *CheckpointInfo {
-		return &CheckpointInfo{
-			TotalRoots: len(roots), ResumedRoots: len(resumed), Saves: saves, Warning: warn,
-		}
-	}
-
-	tick := time.NewTicker(s.dist.ttl / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-jobCtx.Done():
-			dj.close()
-			saveCk()
-			c := plan.Merge(dj.resolvedCopy(), dj.failedCopy())
-			s.settleCancelled(js, id, req, c, ckInfo(), settle)
-			return true
-		case <-dj.done:
-			saveCk()
-			c := plan.Merge(dj.resolvedCopy(), dj.failedCopy())
-			result := ResultFrom(req.Protocol, *req.Crashes, req.ObjFaults, c, nil)
-			info := ckInfo()
-			settle(func(j *Job) {
-				j.State = StateDone
-				j.Result = result
-				j.Checkpoint = info
-				t := time.Now().UTC()
-				j.FinishedAt = &t
-			})
-			v := dj.view()
-			s.cfg.Logf("job %s done distributed: %d complete, %d incomplete, %d violations (%d roots remote, %d local, %d requeues, %d stale rejected)",
-				id, c.Complete, c.Incomplete, c.ViolationRuns, v.RemoteRoots, v.LocalRoots, v.Requeues, v.StaleResults)
-			return true
-		case <-tick.C:
-			now := time.Now()
-			dj.expire(now)
-			saveCk()
-			// Graceful degradation: with no live workers the coordinator
-			// explores pending roots itself, one per claim, re-checking
-			// the fleet between roots so a returning worker takes over.
-			for s.dist.liveWorkers(time.Now()) == 0 && jobCtx.Err() == nil {
-				l := dj.lease("local", time.Now(), true)
-				if l == nil {
-					break
-				}
-				// A cancelled local attempt ends the job: its claim is left
-				// to the closing ledger. A root the walk lost is a failed
-				// attempt, requeued within the root's budget.
-				sum, err := plan.ExploreRootLocal(jobCtx, l.Root)
-				if jobCtx.Err() != nil {
-					break
-				}
-				errStr := ""
-				if err != nil {
-					errStr = err.Error()
-				}
-				dj.deliver("local", l.Root, l.Generation, sum, errStr, true)
-			}
-		}
-	}
 }
 
 // settleCancelled resolves a job whose context ended mid-run,
@@ -573,23 +379,18 @@ func (s *Server) distHandlers(mux *http.ServeMux) {
 		s.dist.touch(req.WorkerID, time.Now())
 		d := s.dist.job(req.JobID)
 		if d == nil {
-			// The job settled (or never distributed): any late delivery is
-			// by definition superseded.
+			// The job settled: any late delivery is by definition
+			// superseded.
 			s.dist.mu.Lock()
 			s.dist.staleResults++
 			s.dist.mu.Unlock()
-			http.Error(w, "stale: job not distributing", http.StatusConflict)
+			http.Error(w, "stale: job not running", http.StatusConflict)
 			return
 		}
-		// A summary the plan cannot have produced fails the attempt, as
-		// a worker-reported error does: merging it could crash the fold.
-		errStr := req.Err
-		if errStr == "" {
-			if err := d.plan.CheckSummary(req.Summary); err != nil {
-				errStr = "invalid summary: " + err.Error()
-			}
-		}
-		status := d.deliver(req.WorkerID, req.Root, req.Generation, req.Summary, errStr, false)
+		// The seat fails the attempt of a summary the plan cannot have
+		// produced, as a worker-reported error does: merging it could
+		// crash the fold.
+		status := d.deliver(req.WorkerID, req.Root, req.Generation, req.Summary, req.Err)
 		if status == distcensus.ResultStale {
 			http.Error(w, "stale: generation superseded", http.StatusConflict)
 			return

@@ -17,16 +17,11 @@ import (
 // like a worker-reported error: nothing is merged, and the root is
 // requeued under a new generation.
 func TestDistResultRefusesInvalidSummary(t *testing.T) {
-	srv, err := New(Config{Dir: t.TempDir(), Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := testDistJob(t, 10*time.Second, 6)
-	srv.dist.add(d)
+	srv, d := testDistJob(t, 10*time.Second, 6)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	l := d.lease("w1", time.Now(), false)
+	l := d.lease("w1", time.Now())
 	bad := explore.RootSummary{Complete: 1, Violations: 1, Reps: [][]explore.Choice{{{Pick: 0, Fault: sim.FaultGarble}}}}
 	c := &distcensus.Client{Base: ts.URL}
 	status, err := c.Deliver(context.Background(), distcensus.ResultRequest{
@@ -35,16 +30,14 @@ func TestDistResultRefusesInvalidSummary(t *testing.T) {
 	if err != nil || status != distcensus.ResultAccepted {
 		t.Fatalf("delivery: status %q err %v, want the failed attempt accepted", status, err)
 	}
-	if got := d.resolvedCopy(); len(got) != 0 {
-		t.Fatalf("invalid summary was merged: %v", got)
+	v := d.view()
+	if v.Resolved != 0 {
+		t.Fatalf("invalid summary was merged: %d roots resolved", v.Resolved)
 	}
-	d.mu.Lock()
-	requeues := d.requeues
-	d.mu.Unlock()
-	if requeues != 1 {
-		t.Fatalf("requeues = %d, want the invalid delivery's one", requeues)
+	if v.Requeues != 1 {
+		t.Fatalf("requeues = %d, want the invalid delivery's one", v.Requeues)
 	}
-	if l2 := d.lease("w2", time.Now(), false); l2 == nil || l2.Root != l.Root || l2.Generation != l.Generation+1 {
+	if l2 := d.lease("w2", time.Now()); l2 == nil || l2.Root != l.Root || l2.Generation != l.Generation+1 {
 		t.Fatalf("re-lease %+v, want root %d under generation %d", l2, l.Root, l.Generation+1)
 	}
 }

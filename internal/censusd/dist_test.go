@@ -2,7 +2,6 @@ package censusd
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,125 +12,153 @@ import (
 	"repro/internal/explore"
 )
 
-// planFor resolves a request into its distribution plan, skipping the
-// test if the exploration does not frontier-split.
-func planFor(t *testing.T, req Request) *explore.DistPlan {
+// testDistJob runs cas k=4 n=3 on a started server whose fleet stays
+// live for the next hour, and returns the server and the job's distJob
+// once the job's pool runs. The job's own workers leave every root to
+// the fleet, so the test's steps are all that moves the job.
+func testDistJob(t *testing.T, ttl time.Duration, maxAttempts int) (*Server, *distJob) {
 	t.Helper()
-	if err := req.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	b, props, err := req.Build()
+	srv, err := New(Config{
+		Dir: t.TempDir(), Workers: 1, QueueDepth: 4, LeaseTTL: ttl,
+		Supervision: explore.Supervise{MaxAttempts: maxAttempts},
+		Logf:        func(string, ...any) {},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, ok := explore.NewDistPlan(b, req.Options(), req.Check(props))
-	if !ok {
-		t.Fatal("request does not frontier-split")
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.Start(ctx)
+	t.Cleanup(func() { cancel(); srv.Drain() })
+	srv.dist.touch("fleet", time.Now().Add(time.Hour))
+	job, _, err := srv.Submit(Request{Protocol: "cas", K: 4, N: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return plan
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if d := srv.dist.job(job.ID); d != nil {
+			if pending, _, _ := d.seat.View(); pending > 0 {
+				return srv, d
+			}
+		}
+	}
+	t.Fatal("the job's pool never ran")
+	return nil, nil
 }
 
-func testDistJob(t *testing.T, ttl time.Duration, maxAttempts int) *distJob {
+// waitResolved waits until d's view counts n resolved roots: a
+// delivered root is reported once its checkpoint save is done, after
+// the delivery's answer.
+func waitResolved(t *testing.T, d *distJob, n int) *distJobView {
 	t.Helper()
-	plan := planFor(t, Request{Protocol: "cas", K: 4, N: 3, Workers: 2})
-	return newDistJob("job1", plan, json.RawMessage(`{}`), nil, ttl, maxAttempts,
-		&progress{}, func(string, ...any) {})
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if v := d.view(); v.Resolved >= n {
+			return v
+		}
+	}
+	t.Fatalf("%d roots never resolved: %+v", n, d.view())
+	return nil
 }
 
-// TestLeaseStateMachine drives the coordinator's per-root lease state
-// machine with an explicit clock through every edge the chaos harness
-// exercises with real time: expiry requeue, the generation-staleness
-// guard, duplicate idempotence, and heartbeats racing expiry.
+// leaseRoot leases from d until it grants root (nil if it never does).
+func leaseRoot(d *distJob, worker string, root int, now time.Time) *distcensus.Lease {
+	for {
+		l := d.lease(worker, now)
+		if l == nil || l.Root == root {
+			return l
+		}
+	}
+}
+
+// TestLeaseStateMachine drives a job's leases through the one job path
+// — the seat of the job's pool — with an explicit clock, through every
+// edge the chaos harness exercises with real time: expiry requeue, the
+// generation-staleness guard, duplicate idempotence, heartbeats racing
+// expiry, the attempt budget, a closed job, and the last delivery
+// settling the job. The clock starts an hour ahead, so the pool's own
+// watchdog, on the real clock, never takes a lease back.
 func TestLeaseStateMachine(t *testing.T) {
 	ttl := 10 * time.Second
-	t0 := time.Unix(1000, 0)
+	t0 := time.Now().Add(time.Hour)
 	sum := explore.RootSummary{Complete: 1}
 
 	t.Run("expired-lease-requeues-under-new-generation", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
-		l := d.lease("w1", t0, false)
+		_, d := testDistJob(t, ttl, 6)
+		l := d.lease("w1", t0)
 		if l == nil || l.Generation != 1 {
 			t.Fatalf("first lease: %+v", l)
 		}
-		if n := d.expire(t0.Add(ttl / 2)); n != 0 {
+		d.seat.Expire(t0.Add(ttl / 2))
+		if n := d.view().Expiries; n != 0 {
 			t.Fatalf("mid-ttl expire reaped %d leases", n)
 		}
-		if n := d.expire(t0.Add(ttl + time.Millisecond)); n != 1 {
+		d.seat.Expire(t0.Add(ttl + time.Millisecond))
+		if n := d.view().Expiries; n != 1 {
 			t.Fatalf("post-ttl expire reaped %d leases, want 1", n)
 		}
-		// The root is back in the queue under a bumped generation; the
-		// lease order keeps it last, so drain the queue to find it.
-		for {
-			l2 := d.lease("w2", t0.Add(ttl), false)
-			if l2 == nil {
-				t.Fatal("expired root never re-leased")
-			}
-			if l2.Root == l.Root {
-				if l2.Generation != 2 {
-					t.Fatalf("re-lease generation %d, want 2", l2.Generation)
-				}
-				break
-			}
+		// The root is back in the queue under a bumped generation.
+		l2 := leaseRoot(d, "w2", l.Root, t0.Add(ttl))
+		if l2 == nil {
+			t.Fatal("expired root never re-leased")
+		}
+		if l2.Generation != 2 {
+			t.Fatalf("re-lease generation %d, want 2", l2.Generation)
 		}
 	})
 
 	t.Run("stale-generation-rejected-after-requeue", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
-		l := d.lease("w1", t0, false)
-		d.expire(t0.Add(ttl + time.Millisecond)) // w1 presumed dead; requeued
+		_, d := testDistJob(t, ttl, 6)
+		l := d.lease("w1", t0)
+		d.seat.Expire(t0.Add(ttl + time.Millisecond)) // w1 presumed dead; requeued
 
 		// w1 resurrects and delivers its finished work under gen 1 —
 		// the double-count the generation guard exists to stop.
-		if v := d.deliver("w1", l.Root, l.Generation, sum, "", false); v != distcensus.ResultStale {
+		if v := d.deliver("w1", l.Root, l.Generation, sum, ""); v != distcensus.ResultStale {
 			t.Fatalf("superseded delivery verdict %q, want stale", v)
 		}
-		if got := d.resolvedCopy(); len(got) != 0 {
-			t.Fatalf("stale delivery was merged: %v", got)
+		if got := d.view().Resolved; got != 0 {
+			t.Fatalf("stale delivery was merged: %d roots resolved", got)
 		}
 		// The current generation still delivers fine.
-		if v := d.deliver("w2", l.Root, l.Generation+1, sum, "", false); v != distcensus.ResultAccepted {
-			t.Fatalf("current-generation delivery verdict %q, want accepted", v)
+		l2 := leaseRoot(d, "w2", l.Root, t0)
+		if v := d.deliver("w2", l2.Root, l2.Generation, sum, ""); l2.Generation != l.Generation+1 || v != distcensus.ResultAccepted {
+			t.Fatalf("current-generation (%d) delivery verdict %q, want accepted", l2.Generation, v)
 		}
-		d.mu.Lock()
-		stale, resolved := d.staleResults, len(d.resolved)
-		d.mu.Unlock()
-		if stale != 1 || resolved != 1 {
-			t.Fatalf("stale=%d resolved=%d, want 1/1", stale, resolved)
+		if v := waitResolved(t, d, 1); v.StaleResults != 1 || v.Resolved != 1 {
+			t.Fatalf("stale=%d resolved=%d, want 1/1", v.StaleResults, v.Resolved)
 		}
 	})
 
 	t.Run("duplicate-delivery-is-idempotent", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
-		l := d.lease("w1", t0, false)
-		if v := d.deliver("w1", l.Root, l.Generation, sum, "", false); v != distcensus.ResultAccepted {
+		_, d := testDistJob(t, ttl, 6)
+		l := d.lease("w1", t0)
+		if v := d.deliver("w1", l.Root, l.Generation, sum, ""); v != distcensus.ResultAccepted {
 			t.Fatalf("first delivery verdict %q", v)
 		}
 		// A retried POST /dist/result (worker crashed between delivery
 		// and dropping its in-flight record) must not count twice.
-		if v := d.deliver("w1", l.Root, l.Generation, sum, "", false); v != distcensus.ResultDuplicate {
+		if v := d.deliver("w1", l.Root, l.Generation, sum, ""); v != distcensus.ResultDuplicate {
 			t.Fatalf("second delivery verdict %q, want duplicate", v)
 		}
-		d.mu.Lock()
-		dup, resolved := d.dupResults, len(d.resolved)
-		d.mu.Unlock()
-		if dup != 1 || resolved != 1 {
-			t.Fatalf("dup=%d resolved=%d, want 1/1", dup, resolved)
+		if v := waitResolved(t, d, 1); v.DupResults != 1 || v.Resolved != 1 {
+			t.Fatalf("dup=%d resolved=%d, want 1/1", v.DupResults, v.Resolved)
 		}
 	})
 
 	t.Run("heartbeat-renewal-races-expiry", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
-		l := d.lease("w1", t0, false)
+		_, d := testDistJob(t, ttl, 6)
+		l := d.lease("w1", t0)
 		// Renewed just before the deadline: the next expiry pass spares it.
 		if !d.heartbeat(l.Root, l.Generation, t0.Add(ttl-time.Millisecond)) {
 			t.Fatal("pre-deadline heartbeat refused")
 		}
-		if n := d.expire(t0.Add(ttl + time.Second)); n != 0 {
+		d.seat.Expire(t0.Add(ttl + time.Second))
+		if n := d.view().Expiries; n != 0 {
 			t.Fatalf("renewed lease expired anyway (%d reaped)", n)
 		}
 		// But once the renewed deadline passes and the root is requeued,
 		// the old generation's heartbeat is answered gone.
-		if n := d.expire(t0.Add(2*ttl + time.Second)); n != 1 {
+		d.seat.Expire(t0.Add(2*ttl + time.Second))
+		if n := d.view().Expiries; n != 1 {
 			t.Fatalf("expire after renewed deadline reaped %d", n)
 		}
 		if d.heartbeat(l.Root, l.Generation, t0.Add(2*ttl+time.Second)) {
@@ -140,39 +167,40 @@ func TestLeaseStateMachine(t *testing.T) {
 	})
 
 	t.Run("error-deliveries-exhaust-the-attempt-budget", func(t *testing.T) {
-		d := testDistJob(t, ttl, 2)
-		l := d.lease("w1", t0, false)
-		if v := d.deliver("w1", l.Root, l.Generation, explore.RootSummary{}, "boom", false); v != distcensus.ResultAccepted {
+		_, d := testDistJob(t, ttl, 2)
+		l := d.lease("w1", t0)
+		if v := d.deliver("w1", l.Root, l.Generation, explore.RootSummary{}, "boom"); v != distcensus.ResultAccepted {
 			t.Fatalf("error delivery verdict %q", v)
 		}
-		// Attempt 2 under gen 2 (drain other roots until it comes up).
-		var l2 *distcensus.Lease
-		for {
-			l2 = d.lease("w1", t0, false)
-			if l2 == nil || l2.Root == l.Root {
-				break
-			}
-		}
+		// Attempt 2 under gen 2, requeued at once.
+		l2 := leaseRoot(d, "w1", l.Root, t0)
 		if l2 == nil || l2.Generation != 2 {
 			t.Fatalf("second attempt lease: %+v", l2)
 		}
-		d.deliver("w1", l2.Root, l2.Generation, explore.RootSummary{}, "boom again", false)
-		failed := d.failedCopy()
-		f, ok := failed[l.Root]
-		if !ok || f.Attempts != 2 {
-			t.Fatalf("root not written off after budget: %+v", failed)
+		d.deliver("w1", l2.Root, l2.Generation, explore.RootSummary{}, "boom again")
+		var lost *eventRec
+		for _, e := range d.prog.view().Recent {
+			if e.Kind == "failed" && e.Root == l.Root {
+				lost = &e
+			}
+		}
+		if lost == nil || lost.Attempt != 2 {
+			t.Fatalf("root not written off after budget: %+v", d.prog.view().Recent)
 		}
 		// A write-off is final: even the "current" generation is stale now.
-		if v := d.deliver("w1", l.Root, 3, sum, "", false); v != distcensus.ResultStale {
+		if v := d.deliver("w1", l.Root, 3, sum, ""); v != distcensus.ResultStale {
 			t.Fatalf("post-failure delivery verdict %q, want stale", v)
 		}
 	})
 
 	t.Run("closed-job-grants-and-renews-nothing", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
-		l := d.lease("w1", t0, false)
-		d.close()
-		if d.lease("w2", t0, false) != nil {
+		srv, d := testDistJob(t, ttl, 6)
+		l := d.lease("w1", t0)
+		if code, err := srv.Cancel(d.id); code != 202 {
+			t.Fatalf("cancel running: code %d err %v", code, err)
+		}
+		waitState(t, srv, d.id, StateCancelled)
+		if d.lease("w2", t0) != nil {
 			t.Fatal("closed job granted a lease")
 		}
 		if d.heartbeat(l.Root, l.Generation, t0) {
@@ -181,19 +209,15 @@ func TestLeaseStateMachine(t *testing.T) {
 	})
 
 	t.Run("all-roots-resolved-closes-done", func(t *testing.T) {
-		d := testDistJob(t, ttl, 6)
+		srv, d := testDistJob(t, ttl, 6)
 		for {
-			l := d.lease("w1", t0, false)
+			l := d.lease("w1", t0)
 			if l == nil {
 				break
 			}
-			d.deliver("w1", l.Root, l.Generation, sum, "", false)
+			d.deliver("w1", l.Root, l.Generation, sum, "")
 		}
-		select {
-		case <-d.done:
-		default:
-			t.Fatal("done not closed after every root resolved")
-		}
+		waitState(t, srv, d.id, StateDone)
 	})
 }
 

@@ -27,9 +27,10 @@ type Config struct {
 	// between checkpoint saves (default 1 — maximum durability; the
 	// daemon's whole point is surviving kills).
 	CheckpointEvery int
-	// Supervision is the per-job supervisor template (retry budget,
-	// backoff, stall watchdog). Stats and OnEvent are owned per job and
-	// must be nil here.
+	// Supervision is the per-job supervisor template (attempt budget,
+	// backoff, stall watchdog) for local and leased attempts alike. Its
+	// MaxAttempts defaults to 6: losing a remote worker is routine. Stats
+	// and OnEvent are owned per job and must be nil here.
 	Supervision explore.Supervise
 	// Logf receives operational log lines (default os.Stderr).
 	Logf func(format string, args ...any)
@@ -40,9 +41,6 @@ type Config struct {
 	// WorkerPoll is the lease-poll interval suggested to workers at
 	// registration (default 500ms).
 	WorkerPoll time.Duration
-	// DistMaxAttempts bounds lease grants per root before the root is
-	// written off as a coverage deficit (default 6).
-	DistMaxAttempts int
 
 	// StoreMaxJobs bounds how many terminal (done/failed/cancelled)
 	// jobs the result cache retains; the least recently accessed are
@@ -59,6 +57,10 @@ type Config struct {
 	RateBurst  int
 }
 
+// defaultMaxAttempts is a job's attempt budget per ledger entry when
+// Config.Supervision leaves it zero.
+const defaultMaxAttempts = 6
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -68,6 +70,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
+	}
+	if c.Supervision.MaxAttempts <= 0 {
+		c.Supervision.MaxAttempts = defaultMaxAttempts
 	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
@@ -230,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		jobs:    make(map[string]*jobState, len(jobs)),
 		queue:   make(chan string, cfg.QueueDepth+len(jobs)+cfg.Workers+1),
-		dist:    newDistState(cfg.LeaseTTL, cfg.WorkerPoll, cfg.DistMaxAttempts),
+		dist:    newDistState(cfg.LeaseTTL, cfg.WorkerPoll),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
 	}
 	for _, j := range jobs {
@@ -407,7 +412,13 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		defer cancelT()
 	}
 
+	// Leases carry the request, so that workers rebuild the identical
+	// exploration.
 	builder, props, err := req.Build()
+	var reqJSON []byte
+	if err == nil {
+		reqJSON, err = json.Marshal(req)
+	}
 	if err != nil {
 		settle(func(j *Job) {
 			j.State = StateFailed
@@ -418,18 +429,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		return
 	}
 
-	// Distributed path when remote workers are live; graceful
-	// degradation is the fall-through — with no fleet (or an
-	// unsplittable tree) the job runs exactly as it always has,
-	// locally. Both paths share the checkpoint file, so a job can
-	// alternate between them across daemon restarts.
-	if s.dist.liveWorkers(time.Now()) > 0 {
-		if s.runJobDistributed(ctx, jobCtx, js, id, req, builder, props, settle) {
-			s.evict()
-			return
-		}
-	}
-
 	var supStats explore.SuperviseStats
 	sup := s.cfg.Supervision
 	sup.Stats = &supStats
@@ -438,7 +437,11 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	opts.Context = jobCtx
 	opts.Supervision = &sup
 
-	c, ckStats, err := explore.RunCheckpointed(builder, opts, req.Check(props), explore.Checkpoint{
+	// One path for every job: its own pool, with remote workers seated
+	// at it through the job's distJob.
+	dj := s.dist.open(id, reqJSON, &js.progress, s.cfg.Logf)
+	defer s.dist.remove(id)
+	c, ckStats, err := dj.seat.RunCheckpointed(builder, opts, req.Check(props), explore.Checkpoint{
 		Path:   s.store.CheckpointPath(id),
 		Every:  s.cfg.CheckpointEvery,
 		Resume: true,
@@ -471,14 +474,17 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			t := time.Now().UTC()
 			j.FinishedAt = &t
 		})
-		s.cfg.Logf("job %s done: %d complete, %d incomplete, %d violations (resumed %d/%d roots)",
-			id, c.Complete, c.Incomplete, c.ViolationRuns, ckStats.ResumedRoots, ckStats.TotalRoots)
+		v := dj.view()
+		s.cfg.Logf("job %s done: %d complete, %d incomplete, %d violations (resumed %d/%d roots; %d remote, %d local, %d requeues, %d stale rejected)",
+			id, c.Complete, c.Incomplete, c.ViolationRuns, ckStats.ResumedRoots, ckStats.TotalRoots,
+			v.RemoteRoots, v.LocalRoots, v.Requeues, v.StaleResults)
 	}
 	s.evict()
 }
 
 // jobView is the /jobs/{id} response: the persisted record plus live
-// progress and, while distributing, the lease table.
+// progress and, while running, the distribution block with its lease
+// table.
 type jobView struct {
 	*Job
 	Progress *progressView `json:"progress,omitempty"`

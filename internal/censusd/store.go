@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Job states. The lifecycle is queued → running → done | failed |
@@ -94,31 +96,7 @@ func (s *Store) Save(j *Job) error {
 	if err != nil {
 		return err
 	}
-	path := s.jobPath(j.ID)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync() // best-effort, like the checkpoint writer
-		d.Close()
-	}
-	return nil
+	return durable.WriteFile(s.jobPath(j.ID), data)
 }
 
 // Delete removes a job record and its checkpoint (eviction). Missing

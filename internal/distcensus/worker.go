@@ -207,17 +207,9 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 		WorkerID: w.ID, JobID: lease.JobID, Root: lease.Root, Generation: lease.Generation,
 	}
 
-	b, opts, check, err := w.Build(lease.Request)
+	b, opts, check, err := w.prepare(lease)
 	if err != nil {
-		res.Err = fmt.Sprintf("build: %v", err)
-		w.deliver(ctx, res, true)
-		return
-	}
-	// Wrong-options refusal, across processes: exploring under a
-	// different effective reduction than the coordinator resolved
-	// would corrupt the merge. Refuse and report instead.
-	if fp := explore.FingerprintOptions(b, opts); fp != lease.OptionsFP {
-		res.Err = fmt.Sprintf("options fingerprint mismatch (worker %q, coordinator %q)", fp, lease.OptionsFP)
+		res.Err = err.Error()
 		w.deliver(ctx, res, true)
 		return
 	}
@@ -306,6 +298,29 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 	}
 	res.Summary = summary
 	w.deliver(ctx, res, true)
+}
+
+// prepare decodes a lease into its exploration. Wrong-options refusal,
+// across processes: exploring under a different effective reduction
+// than the coordinator resolved would corrupt the merge, so a
+// fingerprint mismatch is refused and reported instead. A panic while
+// building or fingerprinting (the symmetry audit runs the builder) is
+// the attempt's error too: delivered, it lets the coordinator requeue
+// the root within its budget, where it would kill the worker and replay
+// from the in-flight record on every restart.
+func (w *Worker) prepare(lease *Lease) (b explore.Builder, opts explore.Options, check func(*sim.Result) error, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("build: panic: %v", r)
+		}
+	}()
+	if b, opts, check, err = w.Build(lease.Request); err != nil {
+		return nil, opts, nil, fmt.Errorf("build: %v", err)
+	}
+	if fp := explore.FingerprintOptions(b, opts); fp != lease.OptionsFP {
+		return nil, opts, nil, fmt.Errorf("options fingerprint mismatch (worker %q, coordinator %q)", fp, lease.OptionsFP)
+	}
+	return b, opts, check, nil
 }
 
 // deliver posts a result and logs the verdict; drop clears the local

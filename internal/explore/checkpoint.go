@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/sim"
 )
 
@@ -113,6 +112,12 @@ type ckFile struct {
 // If the tree cannot be frontier-split under MaxRuns, it falls back to
 // a plain Run with no checkpointing (stats zero).
 func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint) (*Census, CheckpointStats, error) {
+	return runCheckpointed(b, opts, check, ck, nil)
+}
+
+// runCheckpointed is RunCheckpointed with seat (nil: none) seating
+// remote workers at the census's pool.
+func runCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint, seat *RemoteSeat) (*Census, CheckpointStats, error) {
 	pl, ok := NewDistPlan(b, opts, check)
 	if !ok {
 		return Run(b, opts, check), CheckpointStats{}, nil
@@ -121,24 +126,24 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	if pl.opts.Prune {
 		table = newPruneTable(pl.opts.PruneTableEntries)
 	}
-	r, stats, err := pl.checkpointed(table, ck, nil)
+	r, stats, err := pl.checkpointed(table, ck, nil, seat)
 	if err != nil {
 		return nil, stats, err
 	}
 	return r.census(pl), stats, nil
 }
 
-// checkpointed is the one checkpoint loop, behind RunCheckpointed,
-// ExploreSubtree and DistPlan.ExploreRootLocal. It credits the roots
+// checkpointed is the one checkpoint loop, behind RunCheckpointed (with
+// or without a remote seat) and ExploreSubtree. It credits the roots
 // LoadCheckpoint finds in ck.Path (with ck.Resume), runs the rest on
 // the work-stealing pool sharing table, records each root from the
 // pool's onSettle, and saves every ck.Every settled roots. Mid-run
 // saves are best-effort: a failed one leaves its roots unsaved for the
 // next. At the end the loop saves only if a settled root is still
 // unsaved, and that save's error is its error. beat, when non-nil, is
-// bumped on every engine step. An empty ck.Path loads and saves
-// nothing.
-func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func()) (*pooled, CheckpointStats, error) {
+// bumped on every engine step, and seat, when non-nil, seats remote
+// workers at the pool. An empty ck.Path loads and saves nothing.
+func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), seat *RemoteSeat) (*pooled, CheckpointStats, error) {
 	stats := CheckpointStats{TotalRoots: len(pl.Roots())}
 	done := make(map[int]RootSummary)
 	var resumed map[int]RootSummary
@@ -190,7 +195,7 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func()) 
 			}
 		}
 	}
-	r := runPool(ctx, pl, table, resumed, onSettle, beat)
+	r := runPool(ctx, pl, table, resumed, onSettle, beat, seat)
 	stats.Retries = int(r.cfg.stats.Retries.Load())
 	stats.Requeues = int(r.cfg.stats.Requeues.Load())
 	if unsaved > 0 {
@@ -206,8 +211,8 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func()) 
 
 // LoadCheckpoint loads a checkpoint file for resume and returns the
 // recorded roots it credits. It is the one resume routine — the
-// checkpoint loop (RunCheckpointed, ExploreSubtree) and the census
-// daemon's coordinator all go through it: a missing file is a silent
+// checkpoint loop (RunCheckpointed, census daemon jobs included, and
+// ExploreSubtree) goes through it: a missing file is a silent
 // fresh start, a corrupt or foreign file is ignored with a warning, and
 // a file recording the same exploration under different engine options
 // is a hard error. Records carrying the legacy Err field are not
@@ -258,8 +263,8 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 // plan: a negative count, or a representative schedule holding a choice
 // the walk never makes — a fault mode outside Options.FaultModes, a
 // crash and a fault at once, or a process ID outside the 0..65535 that
-// dfsKey encodes. LoadCheckpoint does not credit such a record, and the
-// census daemon's coordinator fails a delivery of one.
+// dfsKey encodes. LoadCheckpoint does not credit such a record, and a
+// remote seat fails a delivery of one.
 func (p *DistPlan) CheckSummary(r RootSummary) error {
 	if r.Complete < 0 || r.Incomplete < 0 || r.Violations < 0 {
 		return errors.New("negative count")
@@ -366,57 +371,12 @@ func loadCheckpointTolerant(path string) (*ckFile, string) {
 	}
 }
 
-// saveCheckpoint writes the file durably: the temp file is fsynced
-// before the atomic rename and the parent directory after it, so a
-// machine crash cannot surface an empty or stale file under the final
-// name despite the rename's atomicity. The directory sync is
-// best-effort — not every filesystem supports it. A failed create,
-// write or fsync leaves the previous file under the final name.
+// saveCheckpoint writes the file durably (durable.WriteFile): a failed
+// create, write or fsync leaves the previous file under the final name.
 func saveCheckpoint(path string, f *ckFile) error {
 	data, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	tf, err := createTemp(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
-// tempFile is what a checkpoint save writes its temp file through.
-type tempFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
-// createTemp creates a checkpoint save's temp file. It is a variable so
-// tests can inject write-side faults: a failing create, a short write,
-// a failing fsync.
-var createTemp = func(name string) (tempFile, error) {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return durable.WriteFile(path, data)
 }

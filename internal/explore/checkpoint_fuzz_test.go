@@ -41,7 +41,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 					t.Fatalf("credited item %d, which is not a root of the plan", i)
 				}
 			}
-			r, _, err := p.checkpointed(nil, Checkpoint{Path: path, Resume: true}, nil)
+			r, _, err := p.checkpointed(nil, Checkpoint{Path: path, Resume: true}, nil, nil)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}

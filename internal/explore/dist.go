@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -11,9 +10,9 @@ import (
 // Frontier splitting and the one root-order merge. A split census cuts
 // the tree at a shallow depth into an ordered frontier of subtree roots
 // (plus the terminal runs that end above the split), explores the roots
-// somewhere — on the local work-stealing pool (steal.go), from a
-// checkpoint file (checkpoint.go), or on remote workers through the
-// exported DistPlan view below — and folds the per-root summaries back
+// somewhere — on the work-stealing pool (steal.go), by its own workers
+// or by remote ones at its seat (remote.go), or from a checkpoint file
+// (checkpoint.go) — and folds the per-root summaries back
 // together in DFS root order (DistPlan.fold). Every path shares that
 // fold, so a pooled, resumed or distributed census is bit-identical in
 // every count to a single-process sequential walk. Only engine
@@ -139,14 +138,12 @@ func (r RootSummary) summary(ids *outcomeIDs, modes []sim.FaultMode) *summary {
 	return s
 }
 
-// DistPlan is one exploration split into its frontier roots. Local
-// pooled and checkpointed censuses run on it, and a coordinator process
-// builds it from the same builder and options to shard the roots over
-// remote workers: Prefix(i) hands out the per-root work items, Merge
-// folds the returned summaries back together, and the checkpoint
-// methods persist progress in the exact file format RunCheckpointed
-// writes — so a job started locally can finish distributed and the
-// other way round.
+// DistPlan is one exploration split into its frontier roots. Pooled and
+// checkpointed censuses run on it — census daemon jobs among them, whose
+// roots remote workers lease through the pool's seat (remote.go):
+// Prefix(i) is a root's work item, Merge folds per-root summaries
+// together, and the checkpoint methods persist progress in the file
+// format RunCheckpointed writes.
 type DistPlan struct {
 	b     Builder
 	opts  Options
@@ -165,11 +162,6 @@ type DistPlan struct {
 	key        uint64
 	optsFP     string
 	frontierFP uint64
-
-	// Local-fallback execution shares one transposition table across
-	// roots.
-	tableOnce sync.Once
-	table     *pruneTable
 }
 
 // NewDistPlan resolves the options (defaults, symmetry audit) and
@@ -227,30 +219,8 @@ func (p *DistPlan) Roots() []int {
 // Prefix is item i's schedule prefix (nil for a leaf).
 func (p *DistPlan) Prefix(i int) []Choice { return p.items[i].prefix }
 
-// OptionsFingerprint renders the census-shaping option fields; a
-// worker recomputes it from its own resolved options and refuses a
-// work item whose fingerprint disagrees — the cross-process version of
-// the checkpoint file's wrong-options refusal.
-func (p *DistPlan) OptionsFingerprint() string { return p.optsFP }
-
 // Key is the exploration's checkpoint key (options + frontier).
 func (p *DistPlan) Key() uint64 { return p.key }
-
-// ExploreRootLocal fully explores root i in this process — the
-// coordinator's degraded mode when no remote workers are available. It
-// walks the root as ExploreSubtree walks an unsplit subtree, on a
-// one-worker pool, and roots explored locally share one transposition
-// table. The error is ctx's when ctx ended the attempt, or names the
-// root when the pool lost it past its attempt budget.
-func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, error) {
-	if p.opts.Prune {
-		p.tableOnce.Do(func() { p.table = newPruneTable(p.opts.PruneTableEntries) })
-	}
-	opts := p.opts
-	opts.Context, opts.Workers = ctx, 1
-	r, _, err := subtreePlan(p.b, opts, p.check, p.items[i].prefix, nil).walk(p.table, Checkpoint{}, nil)
-	return r, err
-}
 
 // Merge folds per-root summaries back into a census in DFS root order
 // (fold), so counts, outcome histograms, violation counts and recorded
@@ -366,7 +336,8 @@ type SubtreeCheckpoint = Checkpoint
 
 // SubtreeStats reports what ExploreSubtree did.
 type SubtreeStats struct {
-	// SubRoots is the sub-frontier size (0: explored monolithically).
+	// SubRoots is the number of sub-frontier roots: 0 both for a
+	// monolithic walk and for a split into terminal runs only.
 	SubRoots int
 	// Resumed is how many sub-roots were credited from the checkpoint.
 	Resumed int
@@ -382,13 +353,14 @@ type SubtreeStats struct {
 // a one-worker pooled census of the subtree (whatever Options.Workers
 // says) through the checkpoint loop: with a checkpoint path the subtree
 // is split at a sub-frontier whose sub-roots are its pool roots, else
-// the prefix is the one root. A panicking attempt is retried under the
-// supervisor's policy; a sub-root lost past its attempt budget is an
-// error naming it. beat, when non-nil, is bumped on every engine step
-// (the caller's cue to renew its lease: a wedged exploration stops
-// beating and the coordinator's lease expiry takes over). A context
-// cancellation (lease revoked, shutdown) returns ctx's error after
-// flushing the checkpoint; the partial summary is discarded.
+// the prefix is the one root. A split that panics is no split. A
+// panicking attempt is retried under the supervisor's policy; a
+// sub-root lost past its attempt budget is an error naming it. beat,
+// when non-nil, is bumped on every engine step (the caller's cue to
+// renew its lease: a wedged exploration stops beating and the
+// coordinator's lease expiry takes over). A context cancellation (lease
+// revoked, shutdown) returns ctx's error after flushing the checkpoint;
+// the partial summary is discarded.
 func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
 	opts = opts.withDefaults()
 	var table *pruneTable
@@ -399,7 +371,7 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	opts.Context, opts.Workers = ctx, 1
 	var items []frontierItem
 	if ck.Path != "" {
-		items = subFrontier(ctx, b, opts, prefix)
+		items = splitRecovering(ctx, b, opts, prefix)
 	}
 	sub := subtreePlan(b, opts, check, prefix, items)
 	var stats SubtreeStats
@@ -409,6 +381,18 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	r, ckStats, err := sub.walk(table, ck, beat)
 	stats.Resumed, stats.Saves, stats.Warning = ckStats.ResumedRoots, ckStats.Saves, ckStats.Warning
 	return r, stats, err
+}
+
+// splitRecovering is subFrontier with a panic — a builder bug the split
+// runs into before any pool starts — turned into no split: the prefix
+// is then walked as one root, under the supervisor.
+func splitRecovering(ctx context.Context, b Builder, opts Options, prefix []Choice) (items []frontierItem) {
+	defer func() {
+		if recover() != nil {
+			items = nil
+		}
+	}()
+	return subFrontier(ctx, b, opts, prefix)
 }
 
 // subtreePlan is the plan of the subtree under prefix: the sub-frontier
@@ -433,7 +417,7 @@ func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix 
 // ≤MaxRecordedViolations representatives. A lost root is an error
 // naming it, and a cancelled walk returns the context's error.
 func (p *DistPlan) walk(table *pruneTable, ck Checkpoint, beat func()) (RootSummary, CheckpointStats, error) {
-	r, stats, err := p.checkpointed(table, ck, beat)
+	r, stats, err := p.checkpointed(table, ck, beat, nil)
 	switch {
 	case err != nil:
 		return RootSummary{}, stats, err

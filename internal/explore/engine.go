@@ -262,7 +262,7 @@ func (en *engine) probe() (res *sim.Result, hit bool) {
 	en.plan = append(en.plan[:0], en.root...)
 	en.plan = append(en.plan, en.path...)
 	sys := en.b()
-	en.pr = prober{en: en, sys: sys, plan: en.plan, crashBuf: en.pr.crashBuf}
+	en.pr = prober{planCursor: planCursor{plan: en.plan, crashBuf: en.pr.crashBuf}, en: en, sys: sys}
 	p := &en.pr
 	cfg := en.simConfig()
 	res, err := sys.Run(cfg)
@@ -329,16 +329,15 @@ func (en *engine) probeMachine() (*sim.Result, bool) {
 		en.me.Restore(en.snaps.ReaderAt(f.snapW, f.snapV))
 		en.plan = append(en.plan[:0], en.path[d:]...)
 		en.pr = prober{
-			en: en, sys: en.me.System(), plan: en.plan,
-			pos: len(en.root) + d, crashes: f.crashes, faults: f.faults,
-			crashBuf: en.pr.crashBuf,
+			planCursor: planCursor{plan: en.plan, crashes: f.crashes, faults: f.faults, crashBuf: en.pr.crashBuf},
+			en:         en, sys: en.me.System(), pos: len(en.root) + d,
 		}
 	} else {
 		// First probe (or a walk whose every frame was popped): replay
 		// the fixed root prefix from the initial snapshot.
 		en.me.Restore(en.snaps.ReaderAt(0, 0))
 		en.plan = append(en.plan[:0], en.root...)
-		en.pr = prober{en: en, sys: en.me.System(), plan: en.plan, crashBuf: en.pr.crashBuf}
+		en.pr = prober{planCursor: planCursor{plan: en.plan, crashBuf: en.pr.crashBuf}, en: en, sys: en.me.System()}
 	}
 	res, err := en.me.Run()
 	if err != nil {
@@ -677,77 +676,32 @@ func (en *engine) childChoice(f *frame, idx int) Choice {
 	return Choice{Pick: ready[idx%n], Fault: en.opts.FaultModes[idx/n]}
 }
 
-// prober drives one probe as both Scheduler and FaultPlan: it first
-// consumes the planned choices, then auto-descends first-ready,
-// registering each new decision point as a frame on the engine. All
-// engine mutation happens from inside Scheduler callbacks, where the
-// runner has every live process parked — the cheap frontier hook that
-// makes one system execution serve a whole root-to-terminal path.
+// prober drives one probe as both Scheduler and FaultPlan: its plan
+// cursor first consumes the planned choices, then the prober
+// auto-descends first-ready, registering each new decision point as a
+// frame on the engine. All engine mutation happens from inside
+// Scheduler callbacks, where the runner has every live process parked —
+// the cheap frontier hook that makes one system execution serve a whole
+// root-to-terminal path. Auto-descent never faults: fault branches
+// exist only through backtracking into planned choices.
 type prober struct {
-	en      *engine
-	sys     *sim.System
-	plan    []Choice
-	i       int  // next plan index
-	pos     int  // choices consumed so far (plan + auto)
-	crashes int  // crash choices consumed so far
-	faults  int  // object-fault choices consumed so far
-	hit     bool // a table hit ended the probe; its subtree is credited
-	dead    bool // planned pick was not ready (builder bug)
-	// pendingFault is armed by Next when the consumed plan choice
-	// carries an object fault and collected by FaultOp from the granted
-	// step. Auto-descent never faults: fault branches exist only
-	// through backtracking into planned choices.
-	pendingFault sim.FaultMode
-	// crashBuf backs CrashNow's return value across probes.
-	crashBuf []sim.ProcID
-}
-
-// FaultOp implements sim.ObjectFaultPlan.
-func (p *prober) FaultOp(_ int) sim.FaultMode {
-	m := p.pendingFault
-	p.pendingFault = sim.FaultNone
-	return m
-}
-
-// CrashNow implements sim.FaultPlan: it consumes all consecutive
-// planned crash choices at the current position. Beyond the plan the
-// engine branches crashes via backtracking, never here. The returned
-// slice is reused across calls; the runner consumes it immediately.
-func (p *prober) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	if p.i >= len(p.plan) || !p.plan[p.i].Crash {
-		return nil
-	}
-	out := p.crashBuf[:0]
-	for p.i < len(p.plan) && p.plan[p.i].Crash {
-		out = append(out, p.plan[p.i].Pick)
-		p.i++
-		p.pos++
-		p.crashes++
-	}
-	p.crashBuf = out
-	return out
+	planCursor
+	en  *engine
+	sys *sim.System
+	// pos counts the choices taken before the plan plus the
+	// auto-descents; pos+i is the depth of the current decision point.
+	pos int
+	hit bool // a table hit ended the probe; its subtree is credited
 }
 
 // Next implements sim.Scheduler.
 func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
-	en := p.en
-	if p.i < len(p.plan) {
-		c := p.plan[p.i]
-		p.i++
-		p.pos++
-		for _, r := range ready {
-			if r == c.Pick {
-				p.pendingFault = c.Fault
-				if c.Fault != sim.FaultNone {
-					p.faults++
-				}
-				return c.Pick
-			}
-		}
-		p.dead = true
-		return sim.Halt
+	if pick, planned := p.next(ready); planned {
+		return pick
 	}
-	if p.pos >= en.opts.MaxDepth {
+	en := p.en
+	depth := p.pos + p.i
+	if depth >= en.opts.MaxDepth {
 		return sim.Halt // depth bound: incomplete terminal
 	}
 	f := frame{crashes: p.crashes, faults: p.faults}
@@ -769,7 +723,7 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 			if ok {
 				key := tableKey{
 					fp:       fp,
-					depthRem: en.opts.MaxDepth - p.pos,
+					depthRem: en.opts.MaxDepth - depth,
 					crashRem: en.opts.MaxCrashes - p.crashes,
 					faultRem: en.opts.ObjectFaults - p.faults,
 				}

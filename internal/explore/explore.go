@@ -307,7 +307,7 @@ func sequentialVisit(b Builder, opts Options, visit func(Outcome) bool) (int, bo
 
 // replayPrefix runs a fresh system under the given choice prefix.
 func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.ProcID) {
-	plan := newChoicePlan(prefix)
+	plan := &planCursor{plan: prefix}
 	sys := b()
 	cfg := sim.Config{
 		Scheduler:       plan,
@@ -327,55 +327,82 @@ func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.
 	return res, res.ReadyAtHalt
 }
 
-// choicePlan feeds a choice sequence to the runner, acting as
-// Scheduler, FaultPlan and ObjectFaultPlan at once. Crash choices are
-// consumed by CrashNow (the runner consults faults first at each
-// decision point), pick choices by Next; when the sequence is exhausted
-// Next halts the run. A fault-pick arms pendingFault in Next, and the
-// granted step collects it through FaultOp — no step arithmetic is
-// needed because FaultOp is consulted exactly once per granted step.
-type choicePlan struct {
-	choices      []Choice
-	i            int
+// planCursor feeds a planned choice sequence to the runner, acting as
+// Scheduler, FaultPlan and ObjectFaultPlan at once: the one plan
+// replayer behind prefix replay, the engine's prober and the orbit
+// keying of frontier roots. Crash choices are consumed by CrashNow (the
+// runner consults faults first at each decision point), pick choices by
+// Next; as a Scheduler of its own it halts the run once the plan is
+// exhausted. A fault-pick arms pendingFault in Next, and the granted
+// step collects it through FaultOp — no step arithmetic is needed
+// because FaultOp is consulted exactly once per granted step.
+type planCursor struct {
+	plan    []Choice
+	i       int  // next plan index
+	crashes int  // crash choices consumed so far
+	faults  int  // object-fault choices consumed so far
+	dead    bool // a planned pick was not ready (builder bug)
+	// pendingFault is armed by Next when the consumed choice carries an
+	// object fault and collected by FaultOp from the granted step.
 	pendingFault sim.FaultMode
-}
-
-func newChoicePlan(cs []Choice) *choicePlan { return &choicePlan{choices: cs} }
-
-// CrashNow implements sim.FaultPlan: it consumes all consecutive crash
-// choices at the current position.
-func (p *choicePlan) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	var out []sim.ProcID
-	for p.i < len(p.choices) && p.choices[p.i].Crash {
-		out = append(out, p.choices[p.i].Pick)
-		p.i++
-	}
-	return out
-}
-
-// Next implements sim.Scheduler: it consumes one pick choice, arming
-// the step's object fault if the choice carries one.
-func (p *choicePlan) Next(ready []sim.ProcID, _ int) sim.ProcID {
-	if p.i >= len(p.choices) {
-		return sim.Halt
-	}
-	c := p.choices[p.i]
-	p.i++
-	for _, r := range ready {
-		if r == c.Pick {
-			p.pendingFault = c.Fault
-			return c.Pick
-		}
-	}
-	return sim.Halt
+	// crashBuf backs CrashNow's return value, reusable across runs.
+	crashBuf []sim.ProcID
 }
 
 // FaultOp implements sim.ObjectFaultPlan: it hands the armed fault to
 // the step being executed and disarms it.
-func (p *choicePlan) FaultOp(_ int) sim.FaultMode {
-	m := p.pendingFault
-	p.pendingFault = sim.FaultNone
+func (c *planCursor) FaultOp(_ int) sim.FaultMode {
+	m := c.pendingFault
+	c.pendingFault = sim.FaultNone
 	return m
+}
+
+// CrashNow implements sim.FaultPlan: it consumes all consecutive
+// planned crash choices at the current position. The returned slice is
+// reused across calls; the runner consumes it immediately.
+func (c *planCursor) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
+	if c.i >= len(c.plan) || !c.plan[c.i].Crash {
+		return nil
+	}
+	out := c.crashBuf[:0]
+	for c.i < len(c.plan) && c.plan[c.i].Crash {
+		out = append(out, c.plan[c.i].Pick)
+		c.i++
+		c.crashes++
+	}
+	c.crashBuf = out
+	return out
+}
+
+// Next implements sim.Scheduler: the planned pick, and a halt once the
+// plan is exhausted.
+func (c *planCursor) Next(ready []sim.ProcID, _ int) sim.ProcID {
+	if pick, planned := c.next(ready); planned {
+		return pick
+	}
+	return sim.Halt
+}
+
+// next consumes one planned pick, arming the step's object fault if the
+// choice carries one. planned is false once the plan is exhausted; a
+// planned pick that is not ready marks the cursor dead and halts.
+func (c *planCursor) next(ready []sim.ProcID) (pick sim.ProcID, planned bool) {
+	if c.i >= len(c.plan) {
+		return 0, false
+	}
+	ch := c.plan[c.i]
+	c.i++
+	for _, r := range ready {
+		if r == ch.Pick {
+			c.pendingFault = ch.Fault
+			if ch.Fault != sim.FaultNone {
+				c.faults++
+			}
+			return ch.Pick, true
+		}
+	}
+	c.dead = true
+	return sim.Halt, true
 }
 
 // DecisionFingerprint canonically renders the decided values of a run,
@@ -440,7 +467,7 @@ func Run(b Builder, opts Options, check func(*sim.Result) error) *Census {
 	}
 	if opts.workerCount() > 1 {
 		if p, ok := newPlan(b, opts, check); ok {
-			return runPool(opts.ctx(), p, table, nil, nil, nil).census(p)
+			return runPool(opts.ctx(), p, table, nil, nil, nil, nil).census(p)
 		}
 	}
 	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}

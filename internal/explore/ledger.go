@@ -3,9 +3,10 @@ package explore
 import "slices"
 
 // The root ledger: settlement of frontier roots as one plain value,
-// stepped under its owner's mutex by the work-stealing pool (steal.go)
-// and censusd's coordinator. They keep results and machinery; the
-// ledger decides whether a result counts. Times are int64 instants of
+// stepped under its owner's mutex by the work-stealing pool (steal.go),
+// for its local workers and for the remote ones at its seat
+// (remote.go). The pool keeps results and machinery; the ledger decides
+// whether a result counts. Times are int64 instants of
 // the owner's clock; a deadline of 0 never expires.
 //
 // An entry is a frontier root's own prefix or a prefix donated from
@@ -108,16 +109,35 @@ func (l *Ledger) Entry(root int) int {
 // Claim hands the newest queued entry to owner until deadline. ok is
 // false when nothing is queued or the ledger is closed.
 func (l *Ledger) Claim(owner string, deadline int64) (c Claim, ev []Event, ok bool) {
-	n := len(l.queue)
-	if l.closed || n == 0 {
+	return l.claim(owner, deadline, func(*ledgerEntry) bool { return true })
+}
+
+// ClaimWhole is Claim restricted to the queued entries that are whole —
+// a root's own entry with an empty donation log, whose attempt walks the
+// root's entire subtree — when whole is set, and to the others when it
+// is not.
+func (l *Ledger) ClaimWhole(owner string, deadline int64, whole bool) (c Claim, ev []Event, ok bool) {
+	return l.claim(owner, deadline, func(en *ledgerEntry) bool {
+		return (en.c.Entry == l.roots[en.c.Root].entry && len(en.log) == 0) == whole
+	})
+}
+
+func (l *Ledger) claim(owner string, deadline int64, fits func(*ledgerEntry) bool) (Claim, []Event, bool) {
+	if l.closed {
 		return Claim{}, nil, false
 	}
-	en := &l.entries[l.queue[n-1]]
-	l.queue = l.queue[:n-1]
-	en.state = entryClaimed
-	en.c.Attempt++
-	en.c.Owner, en.c.Deadline, en.c.Logged = owner, deadline, len(en.log)
-	return en.c, []Event{{Kind: EventClaim, Root: en.c.Root, Attempt: en.c.Attempt}}, true
+	for k := len(l.queue) - 1; k >= 0; k-- {
+		en := &l.entries[l.queue[k]]
+		if !fits(en) {
+			continue
+		}
+		l.queue = slices.Delete(l.queue, k, k+1)
+		en.state = entryClaimed
+		en.c.Attempt++
+		en.c.Owner, en.c.Deadline, en.c.Logged = owner, deadline, len(en.log)
+		return en.c, []Event{{Kind: EventClaim, Root: en.c.Root, Attempt: en.c.Attempt}}, true
+	}
+	return Claim{}, nil, false
 }
 
 // holds reports whether generation gen holds entry e's claim.
@@ -178,13 +198,18 @@ func (l *Ledger) Requeue(e int) {
 // requeued under a new generation with an EventRequeue, or lost past
 // the attempt budget. It returns the claims as they were held.
 func (l *Ledger) Expire(now int64, why string) (gone []Claim, ev []Event) {
+	return l.expire(now, func(Claim) string { return why })
+}
+
+// expire is Expire with the failure detail of each claim given by why.
+func (l *Ledger) expire(now int64, why func(Claim) string) (gone []Claim, ev []Event) {
 	for i := range l.entries {
 		en := &l.entries[i]
 		if en.state != entryClaimed || en.c.Deadline == 0 || now < en.c.Deadline {
 			continue
 		}
 		gone = append(gone, en.c)
-		ev = append(ev, l.fail(en, EventRequeue, why)...)
+		ev = append(ev, l.fail(en, EventRequeue, why(en.c))...)
 	}
 	return gone, ev
 }

@@ -79,7 +79,7 @@ func orbitPartition(b Builder, opts Options, items []frontierItem) *orbitInfo {
 // builder) or the state does not fingerprint.
 func rootOrbitKey(b Builder, opts Options, prefix []Choice) (tableKey, int, bool) {
 	sys := b()
-	r := &orbitReplay{plan: prefix, sys: sys}
+	r := &orbitReplay{planCursor: planCursor{plan: prefix}, sys: sys}
 	cfg := sim.Config{
 		Scheduler:          r,
 		Faults:             r,
@@ -104,65 +104,23 @@ func rootOrbitKey(b Builder, opts Options, prefix []Choice) (tableKey, int, bool
 	}, r.perm, true
 }
 
-// orbitReplay drives one prefix replay as Scheduler, FaultPlan and
-// ObjectFaultPlan — the prober's plan-consumption branch with the
-// engine hooks stripped. When the plan is exhausted it captures the
-// canonical state hash (all live processes are parked inside Next,
-// the same quiescent point the prober keys on) and halts.
+// orbitReplay drives one prefix replay through the plan cursor. When
+// the plan is exhausted it captures the canonical state hash (all live
+// processes are parked inside Next, the same quiescent point the prober
+// keys on) and halts.
 type orbitReplay struct {
-	sys          *sim.System
-	plan         []Choice
-	i            int
-	crashes      int
-	faults       int
-	pendingFault sim.FaultMode
-	crashBuf     []sim.ProcID
+	planCursor
+	sys *sim.System
 
 	fp   uint64
 	perm int
 	ok   bool
-	dead bool
-}
-
-// FaultOp implements sim.ObjectFaultPlan.
-func (r *orbitReplay) FaultOp(_ int) sim.FaultMode {
-	m := r.pendingFault
-	r.pendingFault = sim.FaultNone
-	return m
-}
-
-// CrashNow implements sim.FaultPlan, consuming consecutive planned
-// crash choices like prober.CrashNow.
-func (r *orbitReplay) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	if r.i >= len(r.plan) || !r.plan[r.i].Crash {
-		return nil
-	}
-	out := r.crashBuf[:0]
-	for r.i < len(r.plan) && r.plan[r.i].Crash {
-		out = append(out, r.plan[r.i].Pick)
-		r.i++
-		r.crashes++
-	}
-	r.crashBuf = out
-	return out
 }
 
 // Next implements sim.Scheduler.
 func (r *orbitReplay) Next(ready []sim.ProcID, _ int) sim.ProcID {
-	if r.i < len(r.plan) {
-		c := r.plan[r.i]
-		r.i++
-		for _, q := range ready {
-			if q == c.Pick {
-				r.pendingFault = c.Fault
-				if c.Fault != sim.FaultNone {
-					r.faults++
-				}
-				return c.Pick
-			}
-		}
-		r.dead = true
-		return sim.Halt
+	if pick, planned := r.next(ready); planned {
+		return pick
 	}
 	if !r.ok {
 		// Plan exhausted: this parked state IS the root node. A failed

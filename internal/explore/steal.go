@@ -18,6 +18,8 @@ import (
 // the queue runs dry and a worker goes hungry, each busy engine, at its
 // next backtrack, donates every untried child of its shallowest open
 // frame as new queue entries and keeps walking its current branch.
+// Workers of other processes claim roots through the pool's remote seat
+// (remote.go).
 //
 // The pool drives the root ledger (ledger.go), which decides which entry
 // a worker claims, whether an attempt's result counts, what a donation
@@ -57,6 +59,10 @@ type stealPool struct {
 	// beat, when non-nil, is bumped on every engine step of every
 	// attempt (a remote worker's lease renewal cue).
 	beat func()
+	// seat, when non-nil, seats remote workers at the pool (remote.go);
+	// remote maps each entry it granted to the generation of the grant.
+	seat   *RemoteSeat
+	remote map[int]int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -97,10 +103,11 @@ type pooled struct {
 // table (nil: unpruned), and folds them in root order. Roots in resumed
 // were settled by an earlier run and are credited, not explored; orbit
 // twins are never enqueued — the fold credits them from their
-// representative. onSettle observes each root that settles here, and
-// beat every engine step.
+// representative. onSettle observes each root that settles here, beat
+// every engine step, and seat (nil: none) seats remote workers at the
+// pool for its run.
 func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
-	onSettle func(root int, r RootSummary), beat func()) *pooled {
+	onSettle func(root int, r RootSummary), beat func(), seat *RemoteSeat) *pooled {
 	opts := pl.opts
 	cfg := opts.supervise()
 	ids := newOutcomeIDs()
@@ -109,7 +116,7 @@ func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[i
 	}
 	p := &stealPool{
 		ctx: ctx, cfg: cfg, b: cfg.wrapChaos(pl.b), opts: opts, check: pl.check, table: table, ids: ids,
-		onSettle: onSettle, beat: beat, ledger: NewLedger(cfg.maxAttempts),
+		onSettle: onSettle, beat: beat, seat: seat, ledger: NewLedger(cfg.maxAttempts),
 		acc: make([]*summary, len(pl.items)), capped: make([]bool, len(pl.items)),
 		running: make(map[*poolAttempt]struct{}), epoch: time.Now(), finished: make(chan struct{}),
 	}
@@ -127,14 +134,21 @@ func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[i
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		})()
+		if seat != nil {
+			p.remote = make(map[int]int)
+			seat.attach(p, pl, len(resumed))
+		}
 		for w := 0; w < opts.workerCount(); w++ {
 			p.spawn()
 		}
-		if cfg.stall > 0 {
+		if cfg.stall > 0 || seat != nil {
 			p.wg.Add(1)
 			go p.watchdog()
 		}
 		p.wg.Wait()
+		if seat != nil {
+			seat.detach()
+		}
 	}
 
 	// Every worker and the watchdog have exited: the root bookkeeping is
@@ -236,18 +250,35 @@ func (p *stealPool) worker(name string) {
 	}
 }
 
-// next claims the next entry, blocking while the queue is empty but
-// roots are unsettled (donations and requeues may refill it). nil means
+// next claims the next entry, blocking while the queue holds nothing
+// the worker may claim but roots are unsettled (donations and requeues
+// may refill it). While a seated remote worker is live, the worker
+// leaves whole entries to the seat; it reads the seat's liveness at
+// every claim, and every watchdog tick wakes it to read it again. nil
+// means
 // drained or cancelled: once the context is done nothing is claimed, so
 // every cancelled attempt is its entry's last.
 func (p *stealPool) next(name string) *poolAttempt {
-	p.mu.Lock()
-	for p.ctx.Err() == nil && !p.ledger.Finished() {
+	for {
+		leave := p.seat != nil && p.seat.live()
+		p.mu.Lock()
+		if p.ctx.Err() != nil || p.ledger.Finished() {
+			p.mu.Unlock()
+			return nil
+		}
 		var deadline int64
 		if p.cfg.stall > 0 {
 			deadline = p.now() + int64(p.cfg.stall)
 		}
-		if c, ev, ok := p.ledger.Claim(name, deadline); ok {
+		var c Claim
+		var ev []Event
+		var ok bool
+		if leave {
+			c, ev, ok = p.ledger.ClaimWhole(name, deadline, false)
+		} else {
+			c, ev, ok = p.ledger.Claim(name, deadline)
+		}
+		if ok {
 			a := &poolAttempt{c: c}
 			a.ctx, a.cancel = context.WithCancel(p.ctx)
 			if p.cfg.stall > 0 {
@@ -263,9 +294,8 @@ func (p *stealPool) next(name string) *poolAttempt {
 		p.cond.Wait()
 		p.waiting--
 		p.updateHungry()
+		p.mu.Unlock()
 	}
-	p.mu.Unlock()
-	return nil
 }
 
 // attempt explores one claimed entry once and settles the outcome with
@@ -365,16 +395,17 @@ func (p *stealPool) donate(c Claim, base, kids []Choice) bool {
 	return v == VerdictAccepted
 }
 
-// watchdog turns heartbeat progress into ledger beats and takes back
-// the claims whose deadline passed: each such attempt is cancelled and
-// a replacement worker started, the abandoned one retiring once its
-// attempt returns. An entry out of attempts is written off, so the
-// pool still drains.
+// watchdog steps expire every tick — a quarter of the stall timeout or
+// of the seat's lease TTL, whichever is shorter — until the pool
+// finishes or its context ends.
 func (p *stealPool) watchdog() {
 	defer p.wg.Done()
-	t := time.NewTicker(max(p.cfg.stall/4, time.Millisecond))
+	tick := p.cfg.stall / 4
+	if p.seat != nil && (p.cfg.stall == 0 || p.seat.ttl < p.cfg.stall) {
+		tick = p.seat.ttl / 4
+	}
+	t := time.NewTicker(max(tick, time.Millisecond))
 	defer t.Stop()
-	why := fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall)
 	for {
 		select {
 		case <-p.finished:
@@ -383,27 +414,53 @@ func (p *stealPool) watchdog() {
 			return
 		case <-t.C:
 		}
-		p.mu.Lock()
-		now := p.now()
+		p.expire(p.now())
+	}
+}
+
+// expire is one watchdog step at instant now of the pool's clock. It
+// turns heartbeat progress into ledger beats and takes back the claims
+// whose deadline passed: each stalled local attempt is cancelled and a
+// replacement worker started, the abandoned one retiring once its
+// attempt returns; each lapsed lease is reported to the seat. An entry
+// out of attempts is written off, so the pool still drains. The wake-up
+// it ends with lets parked workers read the seat's liveness again.
+func (p *stealPool) expire(now int64) {
+	p.mu.Lock()
+	for a := range p.running {
+		if hb := a.hb.Load(); hb != a.last {
+			a.last = hb
+			p.ledger.Beat(a.c.Entry, a.c.Gen, now+int64(p.cfg.stall))
+		}
+	}
+	stalled := fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall)
+	expired, ev := p.ledger.expire(now, func(c Claim) string {
+		if p.leased(c.Entry, c.Gen) {
+			return "lease expired"
+		}
+		return stalled
+	})
+	var lapsed []Claim
+	for _, c := range expired {
+		if p.leased(c.Entry, c.Gen) {
+			lapsed = append(lapsed, c)
+			continue
+		}
 		for a := range p.running {
-			if hb := a.hb.Load(); hb != a.last {
-				a.last = hb
-				p.ledger.Beat(a.c.Entry, a.c.Gen, now+int64(p.cfg.stall))
+			if a.c.Entry == c.Entry && a.c.Gen == c.Gen {
+				a.gone = true
+				a.cancel()
+				delete(p.running, a)
+				p.spawn()
 			}
 		}
-		expired, ev := p.ledger.Expire(now, why)
-		for _, c := range expired {
-			for a := range p.running {
-				if a.c.Entry == c.Entry && a.c.Gen == c.Gen {
-					a.gone = true
-					a.cancel()
-					delete(p.running, a)
-					p.spawn()
-				}
-			}
+	}
+	p.stepped()
+	p.mu.Unlock()
+	p.emit(ev)
+	if p.seat != nil && p.seat.onExpire != nil {
+		for _, c := range lapsed {
+			p.seat.onExpire(c)
 		}
-		p.stepped()
-		p.mu.Unlock()
-		p.emit(ev)
 	}
 }

@@ -2,15 +2,13 @@ package explore
 
 import (
 	"context"
-	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"testing"
 
+	"repro/internal/durable/durabletest"
 	"repro/internal/sim"
 )
 
@@ -28,8 +26,9 @@ var leasedPrefix = []Choice{{Pick: 2}, {Pick: 0}}
 // inside a leased subtree is retried under the supervisor's policy, and
 // once the attempts run out ExploreSubtree returns an error naming the
 // lost sub-root — split (with a checkpoint) or not — instead of letting
-// the panic kill the worker. The coordinator's local fallback walks a
-// root the same way.
+// the panic kill the worker. A builder that panics from its first call
+// panics in the split too, which then does not split: the error names
+// the whole subtree.
 func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 	opts := Options{MaxCrashes: 1}.With(fastRetries(2, nil))
 	checkPanics := func(res *sim.Result) error {
@@ -46,6 +45,7 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 		return wideTree()
 	}
 	arm := func() { armed.Store(true) }
+	alwaysPanics := func() *sim.System { panic("builder bug") }
 	for _, tc := range []struct {
 		name  string
 		b     Builder
@@ -58,6 +58,8 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 		{"check-mono", wideTree, checkPanics, nil, false, `subtree "2 0"`},
 		{"builder-split", builderPanics, nil, arm, true, `subtree "2 0 `},
 		{"builder-mono", builderPanics, nil, arm, false, `subtree "2 0"`},
+		{"first-call-split", alwaysPanics, nil, nil, true, `subtree "2 0"`},
+		{"first-call-mono", alwaysPanics, nil, nil, false, `subtree "2 0"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			armed.Store(false)
@@ -79,22 +81,6 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 		})
 	}
 
-	t.Run("explore-root-local", func(t *testing.T) {
-		plan, ok := NewDistPlan(wideTree, opts, checkPanics)
-		if !ok {
-			t.Fatal("no split")
-		}
-		root := plan.Roots()[0]
-		if _, err := plan.ExploreRootLocal(context.Background(), root); err == nil ||
-			!strings.Contains(err.Error(), `subtree "`+FormatSchedule(plan.Prefix(root))+`"`) {
-			t.Fatalf("lost local root: err = %v, want one naming root %d", err, root)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := plan.ExploreRootLocal(ctx, root); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled local root: err = %v, want context.Canceled", err)
-		}
-	})
 }
 
 // TestCheckpointCorruptRepNotCredited: a complete checkpoint under the
@@ -192,52 +178,6 @@ func TestCheckSummary(t *testing.T) {
 	}
 }
 
-// faultyTemp is a checkpoint temp file whose write is short with ENOSPC
-// or whose fsync fails.
-type faultyTemp struct {
-	*os.File
-	short, failSync bool
-}
-
-func (f faultyTemp) Write(p []byte) (int, error) {
-	if f.short {
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, syscall.ENOSPC
-	}
-	return f.File.Write(p)
-}
-
-func (f faultyTemp) Sync() error {
-	if f.failSync {
-		return syscall.EIO
-	}
-	return f.File.Sync()
-}
-
-// injectSaveFault makes checkpoint saves fail with fault — "create",
-// "enospc" (a short write) or "fsync" — from the from-th save on (1-based),
-// or only at it when once is set.
-func injectSaveFault(t *testing.T, fault string, from int, once bool) {
-	t.Helper()
-	orig := createTemp
-	t.Cleanup(func() { createTemp = orig })
-	var n atomic.Int64
-	createTemp = func(name string) (tempFile, error) {
-		i := int(n.Add(1))
-		if i < from || once && i > from {
-			return orig(name)
-		}
-		if fault == "create" {
-			return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EACCES}
-		}
-		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return faultyTemp{File: f, short: fault == "enospc", failSync: fault == "fsync"}, nil
-	}
-}
-
 // TestCheckpointSaveFaults injects a failing create, a short write with
 // ENOSPC and a failing fsync into the checkpoint loop's saves. A failed
 // mid-run save does not stop the walk, which lands on the exact census
@@ -276,7 +216,7 @@ func TestCheckpointSaveFaults(t *testing.T) {
 	for _, fault := range []string{"create", "enospc", "fsync"} {
 		for name, walk := range walks {
 			t.Run(fault+"/mid-run/"+name, func(t *testing.T) {
-				injectSaveFault(t, fault, 2, true)
+				durabletest.Inject(t, fault, 2, true)
 				path := filepath.Join(t.TempDir(), "ck.json")
 				got, roots, err := walk(path)
 				if err != nil {
@@ -297,7 +237,7 @@ func TestCheckpointSaveFaults(t *testing.T) {
 				}
 			})
 			t.Run(fault+"/final/"+name, func(t *testing.T) {
-				injectSaveFault(t, fault, 3, false)
+				durabletest.Inject(t, fault, 3, false)
 				path := filepath.Join(t.TempDir(), "ck.json")
 				got, roots, err := walk(path)
 				if err == nil || !reflect.ValueOf(got).IsZero() {
@@ -308,5 +248,37 @@ func TestCheckpointSaveFaults(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestExploreSubtreeTerminalSplit: a leased subtree whose sub-frontier
+// holds terminal runs only settles no root, so it reports no sub-roots
+// and no saves, and its summary is the monolithic walk's.
+func TestExploreSubtreeTerminalSplit(t *testing.T) {
+	opts := Options{}
+	prefix := []Choice{{Pick: 0}, {Pick: 0}, {Pick: 0}, {Pick: 1}, {Pick: 1}, {Pick: 2}, {Pick: 2}}
+	items := subFrontier(context.Background(), wideTree, opts.withDefaults(), prefix)
+	if len(items) == 0 {
+		t.Fatal("the subtree does not split")
+	}
+	for _, it := range items {
+		if it.prefix != nil {
+			t.Fatalf("the split holds a root %s", FormatSchedule(it.prefix))
+		}
+	}
+	want, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, prefix, SubtreeCheckpoint{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1}
+	got, stats, err := ExploreSubtree(context.Background(), wideTree, opts, nil, prefix, ck, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SubRoots != 0 || stats.Saves != 0 {
+		t.Fatalf("terminal split: %d sub-roots, %d saves; want 0 and 0", stats.SubRoots, stats.Saves)
+	}
+	if !reflect.DeepEqual(got, want) || got.Complete == 0 {
+		t.Fatalf("terminal split summary %+v, want the monolithic %+v", got, want)
 	}
 }

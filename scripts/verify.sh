@@ -32,8 +32,8 @@ go test -race -count=1 ./internal/censusd/
 echo "== distributed-census client/worker under the race detector"
 go test -race -count=1 ./internal/distcensus/
 
-echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses, root ledger, leased subtrees)"
-go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry|Subtree|DistPlan' \
+echo "== supervisor tests under the race detector (chaos, watchdog, cancellation, checkpoint, pooled censuses, root ledger, leased subtrees, the remote seat's claim rule)"
+go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|WorkerPanic|Pooled|Saturates|Ledger|RetriedDonor|StealRetry|Subtree|DistPlan|RemoteSeat' \
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation, spec and audit refusals, subgroup specs)"
