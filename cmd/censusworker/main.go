@@ -8,7 +8,11 @@
 // the same -dir resumes the interrupted subtree from its checkpoint
 // and delivers under its recorded lease generation; if the
 // coordinator reassigned the item meanwhile, the delivery is rejected
-// as stale and discarded — never double-counted. Transient coordinator
+// as stale and discarded — never double-counted. The checkpoint is
+// saved at most once per heartbeat interval (a third of the lease TTL),
+// so a kill costs at most that much walking plus the sub-root in
+// flight, and a lease that finishes sooner is walked again from its
+// start. Transient coordinator
 // outages (restart, partition) are ridden out with seeded exponential
 // backoff.
 //

@@ -27,13 +27,15 @@ type JobBuilder func(req []byte) (explore.Builder, explore.Options, func(*sim.Re
 //
 // Crash safety: before exploring, the worker persists the lease
 // (job, root, generation) to Dir, and the exploration itself
-// checkpoints completed sub-roots there. A worker killed mid-lease
-// and restarted over the same Dir resumes the subtree from its last
-// save and delivers under the RECORDED generation — if the lease
-// expired meanwhile and the coordinator requeued the item, the
-// delivery is rejected as stale and discarded; the worker never
-// double-counts, and never loses more than one checkpoint interval of
-// work.
+// checkpoints settled sub-roots there, at most once per heartbeat
+// interval (TTL/3), so a lease that finishes inside one writes no
+// checkpoint. A worker killed mid-lease and restarted over the same Dir
+// resumes the subtree from its last save and delivers under the
+// RECORDED generation — if the lease expired meanwhile and the
+// coordinator requeued the item, the delivery is rejected as stale and
+// discarded; the worker never double-counts. A kill costs at most one
+// heartbeat interval of walking plus the sub-root in flight, less than
+// the TTL the coordinator waits before it requeues the lease.
 type Worker struct {
 	// ID names this worker to the coordinator.
 	ID string
@@ -226,12 +228,12 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 	if ttl <= 0 {
 		ttl = w.ttl
 	}
+	interval := ttl / 3
+	if interval <= 0 {
+		interval = time.Second
+	}
 	go func() {
 		defer close(hbDone)
-		interval := ttl / 3
-		if interval <= 0 {
-			interval = time.Second
-		}
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		last := int64(-1)
@@ -268,7 +270,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 	}()
 
 	summary, stats, exploreErr := explore.ExploreSubtree(attemptCtx, b, opts, check, lease.Prefix,
-		explore.SubtreeCheckpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Resume: true},
+		explore.SubtreeCheckpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Interval: interval, Resume: true},
 		beats.bump)
 	cancel()
 	<-hbDone

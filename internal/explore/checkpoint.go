@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/sim"
@@ -38,6 +39,12 @@ type Checkpoint struct {
 	// Every saves the file after every Every newly settled roots (plus
 	// once at the end if a settled root is still unsaved). Zero means 8.
 	Every int
+	// Interval, when positive, is the least time between saves: a save,
+	// mid-run or final, is due only once the last save — or the start
+	// of the walk — is at least Interval old. A walk that ends early
+	// (cancelled, stopped, or with a lost root) still flushes every
+	// root it settled. Zero saves on the root count alone.
+	Interval time.Duration
 	// Resume loads Path before exploring, crediting its recorded roots
 	// — provided its key matches this builder/options frontier; a
 	// mismatched or unreadable file is ignored and the run starts
@@ -137,12 +144,14 @@ func runCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 // or without a remote seat) and ExploreSubtree. It credits the roots
 // LoadCheckpoint finds in ck.Path (with ck.Resume), runs the rest on
 // the work-stealing pool sharing table, records each root from the
-// pool's onSettle, and saves every ck.Every settled roots. Mid-run
-// saves are best-effort: a failed one leaves its roots unsaved for the
-// next. At the end the loop saves only if a settled root is still
-// unsaved, and that save's error is its error. beat, when non-nil, is
-// bumped on every engine step, and seat, when non-nil, seats remote
-// workers at the pool. An empty ck.Path loads and saves nothing.
+// pool's onSettle, and saves every ck.Every settled roots once the last
+// save is ck.Interval old. Mid-run saves are best-effort: a failed one
+// leaves its roots unsaved for the next. At the end the loop saves only
+// if a settled root is still unsaved and either the walk ended early or
+// the last save is ck.Interval old, and that save's error is its error.
+// beat, when non-nil, is bumped on every engine step, and seat, when
+// non-nil, seats remote workers at the pool. An empty ck.Path loads and
+// saves nothing.
 func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), seat *RemoteSeat) (*pooled, CheckpointStats, error) {
 	stats := CheckpointStats{TotalRoots: len(pl.Roots())}
 	done := make(map[int]RootSummary)
@@ -169,13 +178,17 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), 
 		unsaved  int
 		newly    int
 		hookStop bool
+		last     = time.Now()
 	)
-	save := func() error { // callers hold saveMu, or the pool is done
+	// aged and save run under saveMu, or once the pool is done.
+	aged := func() bool { return ck.Interval <= 0 || time.Since(last) >= ck.Interval }
+	save := func() error {
 		if err := pl.SaveCheckpoint(ck.Path, done); err != nil {
 			return err
 		}
 		stats.Saves++
 		unsaved = 0
+		last = time.Now()
 		return nil
 	}
 	var onSettle func(int, RootSummary)
@@ -184,7 +197,7 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), 
 			saveMu.Lock()
 			done[i] = r
 			newly++
-			if unsaved++; unsaved >= every {
+			if unsaved++; unsaved >= every && aged() {
 				_ = save() // best-effort: a failed save leaves its roots to the next
 			}
 			stopNow := ck.stopAfterRoots > 0 && newly >= ck.stopAfterRoots && !hookStop
@@ -198,7 +211,8 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), 
 	r := runPool(ctx, pl, table, resumed, onSettle, beat, seat)
 	stats.Retries = int(r.cfg.stats.Retries.Load())
 	stats.Requeues = int(r.cfg.stats.Requeues.Load())
-	if unsaved > 0 {
+	early := hookStop || r.cancelled || len(r.failures) > 0
+	if unsaved > 0 && (early || aged()) {
 		if err := save(); err != nil {
 			return nil, stats, fmt.Errorf("explore: checkpoint save: %w", err)
 		}

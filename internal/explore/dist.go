@@ -219,9 +219,6 @@ func (p *DistPlan) Roots() []int {
 // Prefix is item i's schedule prefix (nil for a leaf).
 func (p *DistPlan) Prefix(i int) []Choice { return p.items[i].prefix }
 
-// Key is the exploration's checkpoint key (options + frontier).
-func (p *DistPlan) Key() uint64 { return p.key }
-
 // Merge folds per-root summaries back into a census in DFS root order
 // (fold), so counts, outcome histograms, violation counts and recorded
 // representatives all match a single-process run. Roots present in
@@ -353,11 +350,12 @@ type SubtreeStats struct {
 // a one-worker pooled census of the subtree (whatever Options.Workers
 // says) through the checkpoint loop: with a checkpoint path the subtree
 // is split at a sub-frontier whose sub-roots are its pool roots, else
-// the prefix is the one root. A split that panics is no split. A
-// panicking attempt is retried under the supervisor's policy; a
-// sub-root lost past its attempt budget is an error naming it. beat,
-// when non-nil, is bumped on every engine step (the caller's cue to
-// renew its lease: a wedged exploration stops beating and the
+// the prefix is the one root. A symmetry audit that panics (it runs
+// the builder) is an error naming the subtree, and a split that panics
+// is no split. A panicking attempt is retried under the supervisor's
+// policy; a sub-root lost past its attempt budget is an error naming
+// it. beat, when non-nil, is bumped on every engine step (the caller's
+// cue to renew its lease: a wedged exploration stops beating and the
 // coordinator's lease expiry takes over). A context cancellation (lease
 // revoked, shutdown) returns ctx's error after flushing the checkpoint;
 // the partial summary is discarded.
@@ -365,7 +363,10 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	opts = opts.withDefaults()
 	var table *pruneTable
 	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
+		var err error
+		if opts, err = resolveRecovering(b, opts, prefix); err != nil {
+			return RootSummary{}, SubtreeStats{}, err
+		}
 		table = newPruneTable(opts.PruneTableEntries)
 	}
 	opts.Context, opts.Workers = ctx, 1
@@ -381,6 +382,18 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	r, ckStats, err := sub.walk(table, ck, beat)
 	stats.Resumed, stats.Saves, stats.Warning = ckStats.ResumedRoots, ckStats.Saves, ckStats.Warning
 	return r, stats, err
+}
+
+// resolveRecovering is resolveSymmetry with a panic — a builder bug the
+// symmetry audit runs into before any pool starts — turned into an
+// error quoting the subtree's prefix and the panic.
+func resolveRecovering(b Builder, opts Options, prefix []Choice) (_ Options, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("explore: subtree %q: symmetry audit: panic: %v", FormatSchedule(prefix), r)
+		}
+	}()
+	return resolveSymmetry(b, opts), nil
 }
 
 // splitRecovering is subFrontier with a panic — a builder bug the split

@@ -2,11 +2,13 @@ package explore
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/durable/durabletest"
 	"repro/internal/sim"
@@ -28,7 +30,9 @@ var leasedPrefix = []Choice{{Pick: 2}, {Pick: 0}}
 // lost sub-root — split (with a checkpoint) or not — instead of letting
 // the panic kill the worker. A builder that panics from its first call
 // panics in the split too, which then does not split: the error names
-// the whole subtree.
+// the whole subtree. Under Prune and Symmetry it panics first in the
+// symmetry audit, which is an error naming the subtree before any
+// attempt.
 func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 	opts := Options{MaxCrashes: 1}.With(fastRetries(2, nil))
 	checkPanics := func(res *sim.Result) error {
@@ -52,14 +56,16 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 		check func(*sim.Result) error
 		beat  func()
 		ck    bool
+		sym   bool   // explore under Prune and Symmetry
 		want  string // the lost subtree's prefix, as the error quotes it
 	}{
-		{"check-split", wideTree, checkPanics, nil, true, `subtree "2 0 `},
-		{"check-mono", wideTree, checkPanics, nil, false, `subtree "2 0"`},
-		{"builder-split", builderPanics, nil, arm, true, `subtree "2 0 `},
-		{"builder-mono", builderPanics, nil, arm, false, `subtree "2 0"`},
-		{"first-call-split", alwaysPanics, nil, nil, true, `subtree "2 0"`},
-		{"first-call-mono", alwaysPanics, nil, nil, false, `subtree "2 0"`},
+		{"check-split", wideTree, checkPanics, nil, true, false, `subtree "2 0 `},
+		{"check-mono", wideTree, checkPanics, nil, false, false, `subtree "2 0"`},
+		{"builder-split", builderPanics, nil, arm, true, false, `subtree "2 0 `},
+		{"builder-mono", builderPanics, nil, arm, false, false, `subtree "2 0"`},
+		{"first-call-split", alwaysPanics, nil, nil, true, false, `subtree "2 0"`},
+		{"first-call-mono", alwaysPanics, nil, nil, false, false, `subtree "2 0"`},
+		{"first-call-symmetry", alwaysPanics, nil, nil, true, true, `subtree "2 0"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			armed.Store(false)
@@ -67,12 +73,16 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 			if tc.ck {
 				ck = SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1, Resume: true}
 			}
+			opts, lost := opts, "lost after 2 attempts"
+			if tc.sym {
+				opts.Prune, opts.Symmetry, lost = true, true, "symmetry audit: panic"
+			}
 			sum, _, err := ExploreSubtree(context.Background(), tc.b, opts, tc.check, leasedPrefix, ck, tc.beat)
 			if err == nil {
 				t.Fatalf("lost subtree returned no error (summary %+v)", sum)
 			}
 			msg := err.Error()
-			if !strings.Contains(msg, tc.want) || !strings.Contains(msg, "lost after 2 attempts") || !strings.Contains(msg, " bug") {
+			if !strings.Contains(msg, tc.want) || !strings.Contains(msg, lost) || !strings.Contains(msg, " bug") {
 				t.Fatalf("error %q does not name the lost sub-root %s and its panic", msg, tc.want)
 			}
 			if !reflect.DeepEqual(sum, RootSummary{}) {
@@ -281,4 +291,76 @@ func TestExploreSubtreeTerminalSplit(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || got.Complete == 0 {
 		t.Fatalf("terminal split summary %+v, want the monolithic %+v", got, want)
 	}
+}
+
+// TestExploreSubtreeSaveInterval: with a save interval a leased walk
+// saves only once the last save is that old. A walk that settles every
+// sub-root inside the interval writes no checkpoint and returns the
+// summary of the same walk saving after every sub-root; stopped inside
+// the interval it still flushes exactly the sub-roots it settled, and a
+// resume credits them and lands on the same summary.
+func TestExploreSubtreeSaveInterval(t *testing.T) {
+	opts := Options{MaxCrashes: 1}
+	want, wantStats, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix,
+		SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "every.json"), Every: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.SubRoots <= 3 || wantStats.Saves != wantStats.SubRoots {
+		t.Fatalf("walk without an interval: %d sub-roots, %d saves; want more than 3, and one save each", wantStats.SubRoots, wantStats.Saves)
+	}
+	hourly := func(path string) SubtreeCheckpoint {
+		return SubtreeCheckpoint{Path: path, Every: 1, Interval: time.Hour, Resume: true}
+	}
+
+	t.Run("finished", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "item.json")
+		got, stats, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, hourly(path), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.SubRoots != wantStats.SubRoots || stats.Saves != 0 {
+			t.Fatalf("%d sub-roots, %d saves; want %d and 0", stats.SubRoots, stats.Saves, wantStats.SubRoots)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("a walk inside its interval left a checkpoint (stat: %v)", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("subtree\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	t.Run("stopped", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "item.json")
+		log := newEventLog()
+		stopped := hourly(path)
+		stopped.stopAfterRoots = 3
+		_, stats, err := ExploreSubtree(context.Background(), wideTree,
+			Options{MaxCrashes: 1, Supervision: &Supervise{OnEvent: log.record}}, disagreeCheck, leasedPrefix, stopped, nil)
+		if err != errStopped {
+			t.Fatalf("stopped walk returned err=%v, want errStopped", err)
+		}
+		if stats.Saves != 1 {
+			t.Fatalf("stopped walk saved %d times, want one flush", stats.Saves)
+		}
+		recorded, err := loadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(recorded.Done); n < 3 || n != len(log.resolved) || n >= stats.SubRoots {
+			t.Fatalf("stopped walk recorded %d sub-roots and settled %d of %d, want the same, at least 3 and not all",
+				n, len(log.resolved), stats.SubRoots)
+		}
+		got, resumed, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, hourly(path), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Resumed != len(recorded.Done) || resumed.Saves != 0 {
+			t.Fatalf("resume credited %d of %d recorded sub-roots and saved %d times, want all and 0",
+				resumed.Resumed, len(recorded.Done), resumed.Saves)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("resumed subtree\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
