@@ -38,7 +38,7 @@ func run() error {
 	maxRuns := flag.Int("maxruns", 200000, "exploration budget")
 	stepLimit := flag.Int("steplimit", 0, "per-process step budget: a run exceeding it is counted as a step-limit outcome instead of hanging the census (0 = sim default)")
 	bivalence := flag.Bool("bivalence", true, "trace the greedy bivalence path")
-	workers := flag.Int("workers", 1, "exploration workers (0 or 1 sequential, -1 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "exploration workers (0 or 1: one worker walks the whole tree as one root; -1 = GOMAXPROCS)")
 	prune := flag.Bool("prune", false, "enable state-fingerprint subtree pruning for the census")
 	pruneBudget := flag.Int("prunebudget", 0, "prune-table entry budget; at it a new entry evicts the entry of its bucket that was cheapest to walk (0 = default cap)")
 	symmetry := flag.Bool("symmetry", false, "canonicalize fingerprints under declared process symmetry (implies -prune; audited per protocol, silently off with a note if the protocol declares none)")
@@ -51,7 +51,7 @@ func run() error {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "per-run deadline: cancel the census after this long, leaving a resumable checkpoint (0 = none)")
 	allowPartial := flag.Bool("allow-partial", false, "exit zero even when the census was cancelled or lost subtrees")
-	retries := flag.Int("retries", 0, "per-subtree retry attempts for failed parallel workers (0 = default)")
+	retries := flag.Int("retries", 0, "per-subtree attempt budget for failed workers, at any -workers (0 = default)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog: requeue a subtree whose worker makes no progress for this long (0 = off)")
 	chaosKills := flag.Int("chaos-kills", 0, "chaos: inject up to this many worker panics (testing the supervisor)")
 	chaosStalls := flag.Int("chaos-stalls", 0, "chaos: inject up to this many worker stalls")

@@ -48,7 +48,7 @@ func main() {
 
 func run() error {
 	only := flag.String("only", "", "run a single experiment: e1, e3, e4, e5, e6, e8, e9, e16, e18")
-	workers := flag.Int("workers", 1, "census workers for E6/E16/E18 (0 or 1 sequential, -1 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "census workers for E6/E16/E18 (0 or 1: one worker walks the whole tree as one root; -1 = GOMAXPROCS)")
 	prune := flag.Bool("prune", false, "enable state-fingerprint subtree pruning for E6/E16 censuses")
 	symmetry := flag.Bool("symmetry", false, "canonicalize census fingerprints under declared process symmetry (implies pruning; protocols without a declared spec degrade to plain pruning with a note)")
 	sleepsets := flag.Bool("sleepsets", false, "skip independent-step commutations via the prune table (implies pruning)")

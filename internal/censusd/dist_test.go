@@ -272,6 +272,65 @@ func TestDistributedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDistributedCappedJob: a job whose frontier split hits maxruns is a
+// one-root plan, and the root is the empty prefix. A remote worker leases
+// it over the wire as [] (null would read as a leaf), walks the whole
+// tree and delivers the census explore.Run counts.
+func TestDistributedCappedJob(t *testing.T) {
+	req := Request{Protocol: "rw3", MaxRuns: 3, Workers: 2}
+	want := groundTruth(t, req)
+	srv, err := New(Config{Dir: t.TempDir(), Workers: 1, QueueDepth: 4, LeaseTTL: 10 * time.Second,
+		Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.Start(ctx)
+	defer func() { cancel(); srv.Drain() }()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &distcensus.Client{Base: ts.URL}
+	if _, err := client.Register(ctx, "w-test"); err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var lease *distcensus.Lease
+	for deadline := time.Now().Add(30 * time.Second); lease == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job's one root was never leased")
+		}
+		if lease, err = client.Lease(ctx, "w-test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lease.Prefix == nil || len(lease.Prefix) != 0 {
+		t.Fatalf("the one root leased with prefix %v, want []", lease.Prefix)
+	}
+	b, opts, check, err := BuildRaw(lease.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := explore.ExploreSubtree(ctx, b, opts, check, lease.Prefix, explore.Checkpoint{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := client.Deliver(ctx, distcensus.ResultRequest{
+		WorkerID: "w-test", JobID: lease.JobID, Root: lease.Root, Generation: lease.Generation, Summary: sum,
+	})
+	if err != nil || status != distcensus.ResultAccepted {
+		t.Fatalf("delivery: %q, %v", status, err)
+	}
+	v := waitState(t, srv, job.ID, StateDone)
+	assertResultMatches(t, "capped", v.Result, want)
+	if v.Result.Exhaustive || v.Result.Complete != 3 {
+		t.Fatalf("capped job: %d complete, exhaustive %v; want 3 and false", v.Result.Complete, v.Result.Exhaustive)
+	}
+}
+
 // TestCancelRunningDistributedJob: DELETE-style cancellation of a
 // running job lands it in the persisted cancelled terminal state with
 // its partial census, and resubmitting the identical request resumes

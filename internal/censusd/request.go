@@ -10,6 +10,7 @@ package censusd
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,6 +64,12 @@ type Request struct {
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 }
 
+// MaxProcs bounds a request's process count. Building a symmetric
+// protocol enumerates all n! process permutations (sim.FullPerms):
+// 40,320 at the bound, gigabytes a few processes past it, and no
+// census of that many processes finishes anyway.
+const MaxProcs = 8
+
 // DefaultMaxRuns mirrors cmd/explore's -maxruns default so the CLI and
 // the daemon agree on the identity of a default-budget census.
 const DefaultMaxRuns = 200000
@@ -74,7 +81,8 @@ const defaultCrashes = 1
 // feeds the identity: unknown protocols and fault modes are rejected,
 // defaults are made explicit, dimensions the protocol ignores are
 // zeroed (so "tas2 with k=7" and plain "tas2" are the same job), and
-// fault modes are sorted and deduplicated.
+// fault modes are stored by their parsed names, sorted and distinct (so
+// "crash,crash " and " crash" name the crash-only job).
 func (r *Request) Normalize() error {
 	spec, ok := protocols[r.Protocol]
 	if !ok {
@@ -87,8 +95,8 @@ func (r *Request) Normalize() error {
 	}
 	if !spec.usesN {
 		r.N = 0
-	} else if r.N <= 0 {
-		return fmt.Errorf("protocol %q needs n > 0", r.Protocol)
+	} else if r.N <= 0 || r.N > MaxProcs {
+		return fmt.Errorf("protocol %q needs 0 < n <= %d", r.Protocol, MaxProcs)
 	}
 	if spec.usesK && spec.usesN && r.N > r.K-1 {
 		return fmt.Errorf("protocol %q needs n <= k-1 (%d processes, alphabet %d)", r.Protocol, r.N, r.K)
@@ -108,27 +116,22 @@ func (r *Request) Normalize() error {
 	}
 	if r.ObjFaults == 0 {
 		r.FaultModes = nil
-	} else {
-		if len(r.FaultModes) == 0 {
-			r.FaultModes = []string{"crash"}
-		}
-		if _, err := ParseFaultModes(strings.Join(r.FaultModes, ",")); err != nil {
-			return err
-		}
-		sort.Strings(r.FaultModes)
-		r.FaultModes = dedupSorted(r.FaultModes)
+		return nil
 	}
+	modes, err := ParseFaultModes(strings.Join(r.FaultModes, ","))
+	if err != nil {
+		return err
+	}
+	if len(modes) == 0 {
+		modes = []sim.FaultMode{sim.FaultCrash}
+	}
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.String()
+	}
+	sort.Strings(names)
+	r.FaultModes = slices.Compact(names)
 	return nil
-}
-
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Identity renders the canonical exploration identity: exactly the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,11 +102,45 @@ func TestRequestIdentity(t *testing.T) {
 		}
 	}
 
+	// Fault modes are stored by their parsed names, sorted and distinct:
+	// a padded duplicate, a blank entry or a comma inside one entry names
+	// the job of the canonical list, which normalizes to itself.
+	for _, tc := range []struct {
+		canon    []string
+		identity string
+		same     [][]string
+	}{
+		{[]string{"crash"}, "casdeg k=3 n=2 c=1 f=1 m=crash r=200000 s=0",
+			[][]string{{"crash", "crash "}, {" crash"}, {"crash", ""}, {""}, nil}},
+		{[]string{"crash", "omission"}, "casdeg k=3 n=2 c=1 f=1 m=crash,omission r=200000 s=0",
+			[][]string{{"omission,crash"}, {"omission", "crash", "omission"}}},
+	} {
+		want := Request{Protocol: "casdeg", K: 3, N: 2, ObjFaults: 1, FaultModes: slices.Clone(tc.canon)}
+		if err := want.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(want.FaultModes, tc.canon) || want.Identity() != tc.identity {
+			t.Fatalf("canonical modes %q normalized to %q, identity %q; want them unchanged, identity %q",
+				tc.canon, want.FaultModes, want.Identity(), tc.identity)
+		}
+		for _, modes := range tc.same {
+			r := Request{Protocol: "casdeg", K: 3, N: 2, ObjFaults: 1, FaultModes: modes}
+			if err := r.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			if r.ID() != want.ID() {
+				t.Fatalf("fault modes %q: identity %q, want %q", modes, r.Identity(), want.Identity())
+			}
+		}
+	}
+
 	bad := []Request{
 		{Protocol: "nope"},
-		{Protocol: "cas"},                // needs k, n
-		{Protocol: "cas", K: 3, N: 3},    // n > k-1
-		{Protocol: "tas2", ObjFaults: 1}, // not fault-wrapped
+		{Protocol: "cas"},                         // needs k, n
+		{Protocol: "cas", K: 3, N: 3},             // n > k-1
+		{Protocol: "cas", K: 20, N: MaxProcs + 1}, // n > MaxProcs
+		{Protocol: "sticky", N: MaxProcs + 1},     // n > MaxProcs
+		{Protocol: "tas2", ObjFaults: 1},          // not fault-wrapped
 		{Protocol: "casdeg", K: 4, N: 2, ObjFaults: 1, FaultModes: []string{"zap"}}, // unknown mode
 		{Protocol: "tas2", MaxRuns: -1},
 	}

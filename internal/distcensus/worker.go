@@ -270,7 +270,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 	}()
 
 	summary, stats, exploreErr := explore.ExploreSubtree(attemptCtx, b, opts, check, lease.Prefix,
-		explore.SubtreeCheckpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Interval: interval, Resume: true},
+		explore.Checkpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Interval: interval, Resume: true},
 		beats.bump)
 	cancel()
 	<-hbDone
@@ -290,7 +290,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 			// resumes and delivers.
 			return
 		}
-		res.Err = fmt.Sprintf("explore: %v", exploreErr)
+		res.Err = exploreErr.Error() // ExploreSubtree prefixes its errors "explore: "
 		w.deliver(ctx, res, true)
 		return
 	}

@@ -130,6 +130,9 @@ func TestWorkerSurvivesPanickingBuilder(t *testing.T) {
 		if res.JobID != leases[i].JobID || !strings.Contains(res.Err, "panic") || !strings.Contains(res.Err, "bug") {
 			t.Errorf("delivery %d: job %s err %q, want lease %s's panic as its error", i, res.JobID, res.Err, leases[i].JobID)
 		}
+		if strings.Count(res.Err, "explore: ") > 1 {
+			t.Errorf("delivery %d: err %q carries the \"explore: \" prefix twice", i, res.Err)
+		}
 	}
 }
 
@@ -171,7 +174,7 @@ func wideBuild([]byte) (explore.Builder, explore.Options, func(*sim.Result) erro
 // every split walk of it must deliver.
 func wideSummary(t *testing.T) explore.RootSummary {
 	t.Helper()
-	want, _, err := explore.ExploreSubtree(context.Background(), wideTree, leasedOpts, nil, leasedPrefix, explore.SubtreeCheckpoint{}, nil)
+	want, _, err := explore.ExploreSubtree(context.Background(), wideTree, leasedOpts, nil, leasedPrefix, explore.Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +241,13 @@ func TestWorkerResumesFlushedCheckpoint(t *testing.T) {
 	// The killed worker's walk: cancelled halfway through its engine
 	// steps, inside its save interval, so its one save is the flush.
 	var steps, walked atomic.Int64
-	_, _, err := explore.ExploreSubtree(context.Background(), wideTree, leasedOpts, nil, leasedPrefix, explore.SubtreeCheckpoint{}, func() { steps.Add(1) })
+	_, _, err := explore.ExploreSubtree(context.Background(), wideTree, leasedOpts, nil, leasedPrefix, explore.Checkpoint{}, func() { steps.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ck := explore.SubtreeCheckpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Interval: time.Hour}
+	ck := explore.Checkpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Interval: time.Hour}
 	_, killed, err := explore.ExploreSubtree(ctx, wideTree, leasedOpts, nil, leasedPrefix, ck, func() {
 		if walked.Add(1) == steps.Load()/2 {
 			cancel()

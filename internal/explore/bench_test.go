@@ -166,7 +166,7 @@ func BenchmarkExplore(b *testing.B) {
 		// Pinned to 4 workers rather than GOMAXPROCS so the shared
 		// table and steal pool are exercised even on single-core hosts
 		// (where -1 would resolve to 1 worker and silently bench the
-		// sequential path); the cpus field in BENCH_explore.json says
+		// one-root path); the cpus field in BENCH_explore.json says
 		// how much genuine parallelism backed the recorded numbers.
 		{"pruned-parallel", func(in benchInstance) int {
 			c := explore.Run(in.b, in.opts.With(explore.WithPrune(), explore.WithWorkers(4)), in.check)

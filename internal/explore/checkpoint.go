@@ -101,13 +101,12 @@ type ckFile struct {
 // explores the frontier roots on the work-stealing pool with
 // Options.Workers workers — donation, orbit-twin skipping, retry with
 // backoff, the stall watchdog and chaos all as in Run — through the
-// checkpoint loop (DistPlan.checkpointed): each root is recorded as it
+// checkpoint loop (distPlan.checkpointed): each root is recorded as it
 // settles, the file is saved every Checkpoint.Every settled roots, and —
 // with Checkpoint.Resume — roots recorded by a previous (interrupted)
 // invocation with the same builder and options are credited. The final
-// census is bit-identical to Run's, violation representatives
-// included; like every pooled census, MaxRuns is enforced per pool item
-// rather than globally.
+// census is bit-identical to Run's in every count; like every pooled
+// census, MaxRuns is enforced per pool item rather than globally.
 //
 // Cancellation through Options.Context stops the pool: settled roots
 // are flushed to the checkpoint, and the returned census carries them
@@ -116,8 +115,9 @@ type ckFile struct {
 // the supervisor's attempt budget are reported in FailedRoots and
 // deliberately NOT persisted, so a resume retries them.
 //
-// If the tree cannot be frontier-split under MaxRuns, it falls back to
-// a plain Run with no checkpointing (stats zero).
+// A tree that cannot be frontier-split under MaxRuns is checkpointed
+// as a one-root plan: its one root, walked at width 1, is recorded once
+// it settles.
 func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint) (*Census, CheckpointStats, error) {
 	return runCheckpointed(b, opts, check, ck, nil)
 }
@@ -125,14 +125,8 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 // runCheckpointed is RunCheckpointed with seat (nil: none) seating
 // remote workers at the census's pool.
 func runCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint, seat *RemoteSeat) (*Census, CheckpointStats, error) {
-	pl, ok := NewDistPlan(b, opts, check)
-	if !ok {
-		return Run(b, opts, check), CheckpointStats{}, nil
-	}
-	var table *pruneTable
-	if pl.opts.Prune {
-		table = newPruneTable(pl.opts.PruneTableEntries)
-	}
+	opts, table := opts.resolve(b)
+	pl := newPlan(b, opts, check, true)
 	r, stats, err := pl.checkpointed(table, ck, nil, seat)
 	if err != nil {
 		return nil, stats, err
@@ -152,7 +146,7 @@ func runCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 // beat, when non-nil, is bumped on every engine step, and seat, when
 // non-nil, seats remote workers at the pool. An empty ck.Path loads and
 // saves nothing.
-func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), seat *RemoteSeat) (*pooled, CheckpointStats, error) {
+func (pl *distPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), seat *RemoteSeat) (*pooled, CheckpointStats, error) {
 	stats := CheckpointStats{TotalRoots: len(pl.Roots())}
 	done := make(map[int]RootSummary)
 	var resumed map[int]RootSummary
@@ -183,7 +177,7 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), 
 	// aged and save run under saveMu, or once the pool is done.
 	aged := func() bool { return ck.Interval <= 0 || time.Since(last) >= ck.Interval }
 	save := func() error {
-		if err := pl.SaveCheckpoint(ck.Path, done); err != nil {
+		if err := pl.save(ck.Path, done); err != nil {
 			return err
 		}
 		stats.Saves++
@@ -232,7 +226,7 @@ func (pl *DistPlan) checkpointed(table *pruneTable, ck Checkpoint, beat func(), 
 // is a hard error. Records carrying the legacy Err field are not
 // credited, nor — with a warning — records CheckSummary refuses: those
 // roots are explored again.
-func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
+func (p *distPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
 	f, warn := loadCheckpointTolerant(path)
 	switch {
 	case f == nil:
@@ -242,9 +236,9 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 		// error: the caller believes they are resuming the run that
 		// wrote the checkpoint, and silently starting fresh would
 		// explore under the wrong reduction/budget settings. (Files from
-		// before the Frontier/Opts split, and subtree checkpoints, carry
-		// neither field and start fresh with a warning.)
-		if p.optsFP != "" && f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
+		// before the Frontier/Opts split, and one-root and subtree
+		// checkpoints, carry no frontier and start fresh with a warning.)
+		if p.frontierFP != 0 && f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
 			return nil, "", fmt.Errorf(
 				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
 				path, f.Opts, p.optsFP)
@@ -279,7 +273,7 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 // crash and a fault at once, or a process ID outside the 0..65535 that
 // dfsKey encodes. LoadCheckpoint does not credit such a record, and a
 // remote seat fails a delivery of one.
-func (p *DistPlan) CheckSummary(r RootSummary) error {
+func (p *distPlan) CheckSummary(r RootSummary) error {
 	if r.Complete < 0 || r.Incomplete < 0 || r.Violations < 0 {
 		return errors.New("negative count")
 	}
@@ -304,9 +298,9 @@ func (p *DistPlan) CheckSummary(r RootSummary) error {
 	return nil
 }
 
-// SaveCheckpoint persists the completed roots atomically and durably,
-// in the standard checkpoint file format.
-func (p *DistPlan) SaveCheckpoint(path string, done map[int]RootSummary) error {
+// save persists the settled roots atomically and durably, in the
+// standard checkpoint file format.
+func (p *distPlan) save(path string, done map[int]RootSummary) error {
 	f := ckFile{Key: p.key, Frontier: p.frontierFP, Opts: p.optsFP, Done: make(map[string]RootSummary, len(done))}
 	for i, r := range done {
 		f.Done[strconv.Itoa(i)] = r

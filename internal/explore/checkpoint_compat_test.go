@@ -57,16 +57,13 @@ func TestCheckpointFileCompat(t *testing.T) {
 
 	t.Run("rewrite", func(t *testing.T) {
 		src := filepath.Join("testdata", "run_checkpointed.json")
-		plan, ok := NewDistPlan(wideTree, opts, disagreeCheck)
-		if !ok {
-			t.Fatal("no split")
-		}
+		plan := newPlan(wideTree, opts.withDefaults(), disagreeCheck, true)
 		done, warn, err := plan.LoadCheckpoint(src)
 		if err != nil || warn != "" {
 			t.Fatalf("load: err=%v warning=%q", err, warn)
 		}
 		out := filepath.Join(t.TempDir(), "rewritten.json")
-		if err := plan.SaveCheckpoint(out, done); err != nil {
+		if err := plan.save(out, done); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, mustRead(t, "run_checkpointed.json")) {
@@ -88,7 +85,7 @@ func TestCheckpointFileCompat(t *testing.T) {
 		if err := saveCheckpoint(path, &f); err != nil {
 			t.Fatal(err)
 		}
-		plan, _ := NewDistPlan(wideTree, opts, disagreeCheck)
+		plan := newPlan(wideTree, opts.withDefaults(), disagreeCheck, true)
 		done, _, err := plan.LoadCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +98,7 @@ func TestCheckpointFileCompat(t *testing.T) {
 	t.Run("explore-subtree", func(t *testing.T) {
 		got, stats, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck,
 			[]Choice{{Pick: 2}, {Pick: 0}},
-			SubtreeCheckpoint{Path: copyFile(t, "explore_subtree.json"), Resume: true}, nil)
+			Checkpoint{Path: copyFile(t, "explore_subtree.json"), Resume: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

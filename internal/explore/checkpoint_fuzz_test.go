@@ -17,10 +17,7 @@ import (
 // folds the credited roots into a census and a subtree summary without
 // exploring the rest: what the file decides, at a millisecond an input.
 func FuzzLoadCheckpoint(f *testing.F) {
-	census, ok := NewDistPlan(wideTree, Options{MaxCrashes: 1, Workers: 2}, disagreeCheck)
-	if !ok {
-		f.Fatal("no split")
-	}
+	census := newPlan(wideTree, Options{MaxCrashes: 1, Workers: 2}.withDefaults(), disagreeCheck, true)
 	sub := subtreePlan(wideTree, census.opts, disagreeCheck, leasedPrefix,
 		subFrontier(context.Background(), wideTree, census.opts, leasedPrefix))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -31,13 +28,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []*DistPlan{census, sub} {
+		for _, p := range []*distPlan{census, sub} {
 			done, _, err := p.LoadCheckpoint(path)
 			if err != nil {
 				continue // the wrong-options refusal
 			}
 			for i := range done {
-				if i < 0 || i >= p.Len() || p.Prefix(i) == nil {
+				if i < 0 || i >= len(p.items) || p.items[i].prefix == nil {
 					t.Fatalf("credited item %d, which is not a root of the plan", i)
 				}
 			}

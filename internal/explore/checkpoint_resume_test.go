@@ -59,6 +59,22 @@ func TestCheckpointWrongOptionsRefused(t *testing.T) {
 		})
 	}
 
+	// A census whose split hits MaxRuns checkpoints its one root. With
+	// no frontier, its file cannot tell another tree from this one: a
+	// resume under other options is a fresh start with a warning.
+	t.Run("one-root-ignored", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		_, stats, err := RunCheckpointed(wideTree, Options{MaxRuns: 3}, nil, Checkpoint{Path: path})
+		if err != nil || stats.TotalRoots != 1 || stats.Saves != 1 {
+			t.Fatalf("capped census: %+v (err %v), want its one root saved", stats, err)
+		}
+		_, stats, err = RunCheckpointed(rwAttempt, Options{MaxRuns: 2}, nil, Checkpoint{Path: path, Resume: true})
+		if err != nil || stats.ResumedRoots != 0 || stats.Warning == "" {
+			t.Fatalf("another capped census resumed %d roots (warning %q, err %v), want a fresh start with a warning",
+				stats.ResumedRoots, stats.Warning, err)
+		}
+	})
+
 	// Sanity: identical options still resume and credit roots.
 	t.Run("identical-options-resume", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "ck.json")

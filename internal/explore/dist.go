@@ -7,19 +7,19 @@ import (
 	"repro/internal/sim"
 )
 
-// Frontier splitting and the one root-order merge. A split census cuts
-// the tree at a shallow depth into an ordered frontier of subtree roots
-// (plus the terminal runs that end above the split), explores the roots
-// somewhere — on the work-stealing pool (steal.go), by its own workers
-// or by remote ones at its seat (remote.go), or from a checkpoint file
-// (checkpoint.go) — and folds the per-root summaries back
-// together in DFS root order (DistPlan.fold). Every path shares that
-// fold, so a pooled, resumed or distributed census is bit-identical in
-// every count to a single-process sequential walk. Only engine
-// telemetry (prune table hit/miss counters) is process-local and not
-// aggregated across processes.
+// Frontier splitting. A census is a plan of subtree roots walked on the
+// work-stealing pool (steal.go) — by its own workers or by remote ones
+// at its seat (remote.go), or credited from a checkpoint file
+// (checkpoint.go) — and folded back together in DFS root order
+// (stealPool.fold). A split plan cuts the tree at a shallow depth into
+// an ordered frontier of roots plus the terminal runs that end above
+// the split; a one-root plan walks the whole tree, or the subtree under
+// one prefix, as a single root. Every census shares the fold, so a
+// pooled, resumed or distributed census is bit-identical in every
+// count to a one-root walk. Only engine telemetry (prune table hit/miss
+// counters) is process-local and not aggregated across processes.
 
-// frontierItem is one entry of the split frontier, in sequential DFS
+// frontierItem is one entry of the split frontier, in DFS
 // order: either a terminal run above the split (leaf) or a subtree
 // root's schedule prefix.
 type frontierItem struct {
@@ -30,8 +30,8 @@ type frontierItem struct {
 // frontier enumerates the tree down to a split depth chosen so that
 // there are comfortably more roots than workers (≥8× for load balance).
 // ok is false when enumeration hit MaxRuns or the context was cancelled
-// — the caller should fall back to a sequential walk, which owns the
-// exact cap/cancel semantics.
+// — newPlan then falls back to a one-root plan, whose one pool item
+// owns the cap and cancellation of the whole census.
 func frontier(b Builder, opts Options, workers int) ([]frontierItem, bool) {
 	for split := 1; ; split++ {
 		items, roots, ok := splitAt(opts.Context, b, opts, nil, split)
@@ -138,13 +138,12 @@ func (r RootSummary) summary(ids *outcomeIDs, modes []sim.FaultMode) *summary {
 	return s
 }
 
-// DistPlan is one exploration split into its frontier roots. Pooled and
-// checkpointed censuses run on it — census daemon jobs among them, whose
-// roots remote workers lease through the pool's seat (remote.go):
-// Prefix(i) is a root's work item, Merge folds per-root summaries
-// together, and the checkpoint methods persist progress in the file
-// format RunCheckpointed writes.
-type DistPlan struct {
+// distPlan is one exploration as the roots the pool walks: a frontier
+// split, or one root. Every census runs on one — census daemon jobs
+// among them, whose roots remote workers lease through the pool's seat
+// (remote.go) — and the checkpoint methods persist its progress in the
+// file format RunCheckpointed writes.
+type distPlan struct {
 	b     Builder
 	opts  Options
 	check func(*sim.Result) error
@@ -159,50 +158,58 @@ type DistPlan struct {
 	// included.
 	orbit *orbitInfo
 
+	// key fingerprints the exploration for its checkpoint file. A split
+	// plan also records its frontier's fingerprint (frontierFP), which
+	// stands in for the builder so LoadCheckpoint can refuse the same
+	// exploration under other options; a one-root plan has no frontier
+	// to stand in, and records zero.
 	key        uint64
 	optsFP     string
 	frontierFP uint64
 }
 
-// NewDistPlan resolves the options (defaults, symmetry audit) and
-// splits the exploration at the standard frontier. ok is false when
-// the tree cannot be frontier-split under MaxRuns — the caller should
-// fall back to a plain local Run, which owns the cap semantics.
-func NewDistPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistPlan, bool) {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
+// newPlan is the plan of an exploration under already-resolved options:
+// with split, its frontier (orbit-partitioned when symmetry resolved),
+// else — and when the frontier enumeration hits MaxRuns or is
+// cancelled — the one-root plan of the whole tree.
+func newPlan(b Builder, opts Options, check func(*sim.Result) error, split bool) *distPlan {
+	if split {
+		if items, ok := frontier(b, opts, opts.workerCount()); ok {
+			p := planOf(b, opts, check, items)
+			p.frontierFP = foldFrontier(fnvOffset, items)
+			if opts.canon != nil {
+				p.orbit = orbitPartition(b, opts, items)
+			}
+			return p
+		}
 	}
-	return newPlan(b, opts, check)
+	return rootPlan(b, opts, check, []Choice{})
 }
 
-// newPlan is NewDistPlan for already-resolved options.
-func newPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistPlan, bool) {
-	items, ok := frontier(b, opts, opts.workerCount())
-	if !ok {
-		return nil, false
-	}
+// rootPlan is the one-root plan of the subtree under prefix, which must
+// be non-nil (the fold reads a nil prefix as a leaf). It runs at width
+// 1, so the walk is one pool item and MaxRuns caps all of it.
+func rootPlan(b Builder, opts Options, check func(*sim.Result) error, prefix []Choice) *distPlan {
+	opts.Workers = 1
+	return planOf(b, opts, check, []frontierItem{{prefix: prefix}})
+}
+
+// planOf keys a plan of items: the checkpoint key folds the options
+// fingerprint, then the items.
+func planOf(b Builder, opts Options, check func(*sim.Result) error, items []frontierItem) *distPlan {
 	optsFP := optionsFingerprint(opts)
-	p := &DistPlan{
+	return &distPlan{
 		b: b, opts: opts, check: check, items: items, optsFP: optsFP,
-		key:        foldFrontier(foldString(fnvOffset, optsFP), items),
-		frontierFP: foldFrontier(fnvOffset, items),
+		key: foldFrontier(foldString(fnvOffset, optsFP), items),
 	}
-	if opts.canon != nil {
-		p.orbit = orbitPartition(b, opts, items)
-	}
-	return p, true
 }
-
-// Len is the number of frontier items (roots and above-split leaves).
-func (p *DistPlan) Len() int { return len(p.items) }
 
 // Roots lists the indices of the distributable items — frontier
 // entries that are subtree roots, not leaves. Under an orbit partition
 // (symmetry on) only orbit REPRESENTATIVES are listed: their twins
-// need no exploration anywhere, Merge credits them from the rep's
-// returned summary.
-func (p *DistPlan) Roots() []int {
+// need no exploration anywhere, the fold credits them from the rep's
+// summary.
+func (p *distPlan) Roots() []int {
 	var out []int
 	for i, it := range p.items {
 		if it.prefix == nil {
@@ -216,120 +223,15 @@ func (p *DistPlan) Roots() []int {
 	return out
 }
 
-// Prefix is item i's schedule prefix (nil for a leaf).
-func (p *DistPlan) Prefix(i int) []Choice { return p.items[i].prefix }
-
-// Merge folds per-root summaries back into a census in DFS root order
-// (fold), so counts, outcome histograms, violation counts and recorded
-// representatives all match a single-process run. Roots present in
-// neither done nor failed mark the census cancelled-and-partial. Under
-// an orbit partition the twins are credited from their representatives
-// and the skips reported in Census.Prune.OrbitSkips; otherwise
-// Census.Prune is nil: prune counters are per-process telemetry and do
-// not aggregate across workers.
-func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *Census {
-	ids := newOutcomeIDs()
-	total := newSummary()
-	f := p.fold(total, ids, func(i int) (*summary, bool, bool) {
-		r, ok := done[i]
-		if !ok {
-			return nil, false, false
-		}
-		return r.summary(ids, p.opts.FaultModes), r.Capped, true
-	}, failed)
-	c := p.census(total, ids, f)
-	if p.orbit != nil {
-		st := &PruneStats{OrbitSkips: f.orbitSkips}
-		p.opts.markReducers(st)
-		c.Prune = st
-	}
-	return c
-}
-
-// folded is what fold learned besides the counts it merged.
-type folded struct {
-	exhaustive, cancelled bool
-	failures              []RootFailure
-	orbitSkips            uint64
-}
-
-// fold is the one root-order merge behind every split census: the pool
-// (Run, RunCheckpointed, ExploreSubtree's sub-roots) and Merge. It
-// walks the frontier in DFS order into total, classifying leaves and
-// merging each root's summary, where root(i) reports root i's summary,
-// whether an item of it hit MaxRuns, and whether the summary covers the
-// whole subtree (settled). ids interns the outcome IDs of total and of
-// every summary root returns. An orbit twin without a settled summary
-// of its own is credited its representative's, renamed into the twin's
-// orientation, and counted in orbitSkips; a twin of a lost
-// representative shares the rep's recorded deficit. A failed root
-// contributes nothing. A root neither settled nor failed leaves the
-// census cancelled, though any partial count it carries is merged.
-func (p *DistPlan) fold(total *summary, ids *outcomeIDs, root func(i int) (s *summary, capped, settled bool),
-	failed map[int]RootFailure) folded {
-	f := folded{exhaustive: true}
-	for i, it := range p.items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, ids, p.check, p.opts.FaultModes)
-			continue
-		}
-		if fail, lost := failed[i]; lost {
-			f.failures = append(f.failures, fail)
-			f.exhaustive = false
-			continue
-		}
-		s, capped, settled := root(i)
-		if !settled && p.orbit != nil && p.orbit.rep[i] != i {
-			j := p.orbit.rep[i]
-			if _, lost := failed[j]; lost {
-				f.exhaustive = false // the rep's failure records the deficit
-				continue
-			}
-			if s, capped, settled = root(j); settled {
-				total.merge(s, orbitRenamer(ids, p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
-				f.orbitSkips++
-			}
-		} else if s != nil {
-			total.merge(s, nil)
-		}
-		switch {
-		case !settled:
-			f.exhaustive, f.cancelled = false, true
-		case capped:
-			f.exhaustive = false
-		}
-	}
-	return f
-}
-
-// census turns a fold into the Census.
-func (p *DistPlan) census(total *summary, ids *outcomeIDs, f folded) *Census {
-	c := censusFrom(total, ids, p.b, p.opts, f.exhaustive)
-	c.FailedRoots = f.failures
-	c.Errors = failureStrings(f.failures)
-	c.Cancelled = f.cancelled
-	return c
-}
-
 // FingerprintOptions resolves opts against b (defaults plus the
 // symmetry audit, which can flip Symmetry off) and returns the
 // census-shaping fingerprint. Workers call this to verify a leased
 // work item's options agree with their own resolution before
 // exploring under them.
 func FingerprintOptions(b Builder, opts Options) string {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
-	}
+	opts, _ = opts.resolve(b)
 	return optionsFingerprint(opts)
 }
-
-// SubtreeCheckpoint configures ExploreSubtree's in-flight progress
-// persistence: the leased subtree is split again at a shallow
-// sub-frontier and settled sub-roots are recorded in Path, so a worker
-// killed mid-subtree resumes from its last save instead of restarting
-// the whole work item. It is the checkpoint loop's one config.
-type SubtreeCheckpoint = Checkpoint
 
 // SubtreeStats reports what ExploreSubtree did.
 type SubtreeStats struct {
@@ -354,12 +256,15 @@ type SubtreeStats struct {
 // the builder) is an error naming the subtree, and a split that panics
 // is no split. A panicking attempt is retried under the supervisor's
 // policy; a sub-root lost past its attempt budget is an error naming
-// it. beat, when non-nil, is bumped on every engine step (the caller's
+// it. A nil prefix is the whole tree. beat, when non-nil, is bumped on every engine step (the caller's
 // cue to renew its lease: a wedged exploration stops beating and the
 // coordinator's lease expiry takes over). A context cancellation (lease
 // revoked, shutdown) returns ctx's error after flushing the checkpoint;
 // the partial summary is discarded.
-func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
+func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck Checkpoint, beat func()) (RootSummary, SubtreeStats, error) {
+	if prefix == nil {
+		prefix = []Choice{} // the fold reads a nil prefix as a leaf
+	}
 	opts = opts.withDefaults()
 	var table *pruneTable
 	if opts.Prune {
@@ -413,7 +318,7 @@ func splitRecovering(ctx context.Context, b Builder, opts Options, prefix []Choi
 // key extends the options fold with the prefix, so files from different
 // roots (or jobs) never cross-resume. It records no frontier/options
 // pair: a mismatched file is always a fresh start.
-func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, items []frontierItem) *DistPlan {
+func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, items []frontierItem) *distPlan {
 	key := foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix))
 	if items == nil {
 		items = []frontierItem{{prefix: prefix}}
@@ -421,7 +326,7 @@ func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix 
 	} else {
 		key = foldFrontier(key, items)
 	}
-	return &DistPlan{b: b, opts: opts, check: check, items: items, key: key}
+	return &distPlan{b: b, opts: opts, check: check, items: items, key: key}
 }
 
 // walk runs the plan's roots through the checkpoint loop and folds them
@@ -429,7 +334,7 @@ func subtreePlan(b Builder, opts Options, check func(*sim.Result) error, prefix 
 // monolithic walk of that subtree in every count and in the first
 // ≤MaxRecordedViolations representatives. A lost root is an error
 // naming it, and a cancelled walk returns the context's error.
-func (p *DistPlan) walk(table *pruneTable, ck Checkpoint, beat func()) (RootSummary, CheckpointStats, error) {
+func (p *distPlan) walk(table *pruneTable, ck Checkpoint, beat func()) (RootSummary, CheckpointStats, error) {
 	r, stats, err := p.checkpointed(table, ck, beat, nil)
 	switch {
 	case err != nil:

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/registers"
@@ -35,24 +37,98 @@ func rwAttempt3() explore.Builder {
 	}
 }
 
-// exploreAllItems plays a full worker fleet over a plan: every root is
-// explored through ExploreSubtree (a fresh process-like environment
-// per item, its own prune table), and the summaries are merged.
-func exploreAllItems(t *testing.T, plan *explore.DistPlan, b explore.Builder, opts explore.Options, check func(*sim.Result) error, ckDir string) *explore.Census {
+// seated runs the census of b with a remote seat at its pool that stays
+// live, so the pool's own worker leaves every whole root to the seat,
+// and plays the remote fleet: once the pool is seated it leases every
+// root and hands the leases, in root order, to play, which settles them
+// through the seat. A census whose tree ends above the split finishes
+// without a lease.
+func seated(t *testing.T, b explore.Builder, opts explore.Options, check func(*sim.Result) error,
+	play func(seat *explore.RemoteSeat, leases []explore.Claim)) *explore.Census {
 	t.Helper()
-	done := make(map[int]explore.RootSummary)
-	for _, root := range plan.Roots() {
-		ck := explore.SubtreeCheckpoint{}
-		if ckDir != "" {
-			ck = explore.SubtreeCheckpoint{Path: filepath.Join(ckDir, fmt.Sprintf("item-%d.json", root)), Every: 1, Resume: true}
-		}
-		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, check, plan.Prefix(root), ck, nil)
-		if err != nil {
-			t.Fatalf("root %d: %v", root, err)
-		}
-		done[root] = sum
+	type result struct {
+		c   *explore.Census
+		err error
 	}
-	return plan.Merge(done, nil)
+	seat := explore.NewRemoteSeat(time.Minute, func() bool { return true }, nil)
+	done := make(chan result, 1)
+	go func() {
+		c, _, err := seat.RunCheckpointed(b, opts, check, explore.Checkpoint{})
+		done <- result{c, err}
+	}()
+	var leases []explore.Claim
+	var r result
+	for r.c == nil && r.err == nil {
+		if c, _, ok := seat.Lease("remote", time.Now()); ok {
+			leases = append(leases, c)
+			continue
+		}
+		if len(leases) > 0 {
+			sort.Slice(leases, func(i, j int) bool { return leases[i].Root < leases[j].Root })
+			play(seat, leases)
+			select {
+			case r = <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("the seated census never finished")
+			}
+			break
+		}
+		select {
+		case r = <-done:
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.c
+}
+
+// deliver walks lease c as a worker does — ExploreSubtree, with its own
+// prune table and, when ckDir is set, a per-item checkpoint — and
+// delivers the summary.
+func deliver(t *testing.T, seat *explore.RemoteSeat, c explore.Claim, b explore.Builder, opts explore.Options,
+	check func(*sim.Result) error, ckDir string) {
+	t.Helper()
+	var ck explore.Checkpoint
+	if ckDir != "" {
+		ck = explore.Checkpoint{Path: filepath.Join(ckDir, fmt.Sprintf("item-%d.json", c.Root)), Every: 1, Resume: true}
+	}
+	sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, check, c.Prefix, ck, nil)
+	if err != nil {
+		t.Fatalf("root %d: %v", c.Root, err)
+	}
+	if v := seat.Deliver(c.Root, c.Gen, sum); v != explore.VerdictAccepted {
+		t.Fatalf("delivery of root %d: %v", c.Root, v)
+	}
+}
+
+// deliverAll delivers every lease.
+func deliverAll(t *testing.T, b explore.Builder, opts explore.Options, check func(*sim.Result) error,
+	ckDir string) func(*explore.RemoteSeat, []explore.Claim) {
+	return func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		for _, c := range leases {
+			deliver(t, seat, c, b, opts, check, ckDir)
+		}
+	}
+}
+
+// lose fails lease c, and every re-lease of its root, until the root is
+// lost past the default attempt budget.
+func lose(t *testing.T, seat *explore.RemoteSeat, c explore.Claim) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		if v := seat.Fail(c.Root, c.Gen, "lost"); v != explore.VerdictAccepted {
+			t.Fatalf("failing root %d: %v", c.Root, v)
+		}
+		if attempt == explore.DefaultMaxAttempts {
+			return
+		}
+		var ok bool
+		if c, _, ok = seat.Lease("remote", time.Now()); !ok {
+			t.Fatal("a failed lease was not requeued at once")
+		}
+	}
 }
 
 func assertCensusCountsEqual(t *testing.T, label string, got, want *explore.Census) {
@@ -77,10 +153,10 @@ func assertCensusCountsEqual(t *testing.T, label string, got, want *explore.Cens
 	}
 }
 
-// TestDistPlanMergeBitIdentical: distributing every root through
-// ExploreSubtree (fresh tables, per-item checkpoints) and merging must
-// reproduce the single-process census in every count — crash
-// branching, violations, and reduction all included.
+// TestDistPlanMergeBitIdentical: leasing every root through a remote
+// seat and walking it with ExploreSubtree (fresh tables, per-item
+// checkpoints) must reproduce the single-process census in every count
+// — crash branching, violations, and reduction all included.
 func TestDistPlanMergeBitIdentical(t *testing.T) {
 	agree := func(res *sim.Result) error {
 		if d := res.DistinctDecisions(); len(d) > 1 {
@@ -102,17 +178,17 @@ func TestDistPlanMergeBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := explore.Run(tc.b, tc.opts, tc.check)
-			plan, ok := explore.NewDistPlan(tc.b, tc.opts, tc.check)
-			if !ok {
-				t.Fatal("exploration did not split")
+			leased := 0
+			got := seated(t, tc.b, tc.opts, tc.check, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+				leased = len(leases)
+				deliverAll(t, tc.b, tc.opts, tc.check, "")(seat, leases)
+			})
+			if leased == 0 {
+				t.Fatal("the seat leased no root")
 			}
-			if len(plan.Roots()) == 0 {
-				t.Fatal("plan has no distributable roots")
-			}
-			got := exploreAllItems(t, plan, tc.b, tc.opts, tc.check, "")
 			assertCensusCountsEqual(t, tc.name, got, want)
 			// And with per-item subtree checkpointing switched on.
-			got2 := exploreAllItems(t, plan, tc.b, tc.opts, tc.check, t.TempDir())
+			got2 := seated(t, tc.b, tc.opts, tc.check, deliverAll(t, tc.b, tc.opts, tc.check, t.TempDir()))
 			assertCensusCountsEqual(t, tc.name+"+ck", got2, want)
 		})
 	}
@@ -124,22 +200,18 @@ func TestDistPlanMergeBitIdentical(t *testing.T) {
 func TestExploreSubtreeCheckpointResume(t *testing.T) {
 	b := oneShot(3, 3)
 	opts := explore.Options{Workers: 2}
-	plan, ok := explore.NewDistPlan(b, opts, nil)
-	if !ok {
-		t.Fatal("no split")
-	}
-	root := plan.Roots()[0]
+	prefix := []explore.Choice{{Pick: 0}, {Pick: 0}, {Pick: 0}}
 	path := filepath.Join(t.TempDir(), "item.json")
-	ck := explore.SubtreeCheckpoint{Path: path, Every: 1, Resume: true}
+	ck := explore.Checkpoint{Path: path, Every: 1, Resume: true}
 
-	first, stats1, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), ck, nil)
+	first, stats1, err := explore.ExploreSubtree(context.Background(), b, opts, nil, prefix, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats1.Saves == 0 {
 		t.Fatal("first pass saved no checkpoint")
 	}
-	second, stats2, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), ck, nil)
+	second, stats2, err := explore.ExploreSubtree(context.Background(), b, opts, nil, prefix, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,77 +224,34 @@ func TestExploreSubtreeCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDistPlanMergeMissingRoot: an unexplored root must surface as a
-// cancelled, non-exhaustive census — never as silently-short counts.
+// TestDistPlanMergeMissingRoot: a root never delivered must surface as
+// a cancelled, non-exhaustive census — never as silently-short counts —
+// and a root lost past its attempt budget as a coverage deficit.
 func TestDistPlanMergeMissingRoot(t *testing.T) {
 	b := oneShot(3, 2)
-	opts := explore.Options{Workers: 2}
-	want := explore.Run(b, opts, nil)
-	plan, _ := explore.NewDistPlan(b, opts, nil)
-	roots := plan.Roots()
-
-	done := make(map[int]explore.RootSummary)
-	for _, root := range roots[1:] { // skip the first root
-		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done[root] = sum
-	}
-	c := plan.Merge(done, nil)
+	want := explore.Run(b, explore.Options{Workers: 2}, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := explore.Options{Workers: 2, Context: ctx}
+	c := seated(t, b, opts, nil, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		deliverAll(t, b, opts, nil, "")(seat, leases[1:]) // the first root never returns
+		cancel()
+	})
 	if !c.Cancelled || c.Exhaustive {
-		t.Fatalf("partial merge: cancelled=%v exhaustive=%v, want true/false", c.Cancelled, c.Exhaustive)
+		t.Fatalf("partial census: cancelled=%v exhaustive=%v, want true/false", c.Cancelled, c.Exhaustive)
 	}
 	if c.Complete >= want.Complete {
-		t.Fatalf("partial merge counted %d complete, full census has %d", c.Complete, want.Complete)
+		t.Fatalf("partial census counted %d complete, full census has %d", c.Complete, want.Complete)
 	}
 
 	// A failed root instead marks a coverage deficit, not cancellation.
-	failed := map[int]explore.RootFailure{
-		roots[0]: {Prefix: plan.Prefix(roots[0]), Attempts: 3, Err: "lost"},
-	}
-	c2 := plan.Merge(done, failed)
-	if c2.Cancelled || c2.Exhaustive || len(c2.Errors) != 1 {
-		t.Fatalf("failed-root merge: cancelled=%v exhaustive=%v errors=%v", c2.Cancelled, c2.Exhaustive, c2.Errors)
-	}
-}
-
-// TestDistPlanCheckpointRoundTripAndWrongOptions: the plan's
-// checkpoint is the standard file format — a round trip credits the
-// recorded roots, and a file recording the same exploration under
-// different engine options is refused outright.
-func TestDistPlanCheckpointRoundTrip(t *testing.T) {
-	b := oneShot(3, 2)
-	opts := explore.Options{Workers: 2}
-	plan, _ := explore.NewDistPlan(b, opts, nil)
-	root := plan.Roots()[0]
-	sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "job.json")
-	if err := plan.SaveCheckpoint(path, map[int]explore.RootSummary{root: sum}); err != nil {
-		t.Fatal(err)
-	}
-	back, warn, err := plan.LoadCheckpoint(path)
-	if err != nil || warn != "" {
-		t.Fatalf("load: err=%v warn=%q", err, warn)
-	}
-	if got, ok := back[root]; !ok || got.Complete != sum.Complete {
-		t.Fatalf("round trip lost root %d: %+v", root, back)
-	}
-
-	// Same tree, different census-shaping options (MaxRuns changes the
-	// cap semantics): resuming must be refused, not silently merged.
-	otherOpts := opts
-	otherOpts.MaxRuns = 777
-	other, ok := explore.NewDistPlan(b, otherOpts, nil)
-	if !ok {
-		t.Fatal("no split under other options")
-	}
-	if _, _, err := other.LoadCheckpoint(path); err == nil {
-		t.Fatal("wrong-options checkpoint was accepted")
+	opts.Context = nil
+	c2 := seated(t, b, opts, nil, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		lose(t, seat, leases[0])
+		deliverAll(t, b, opts, nil, "")(seat, leases[1:])
+	})
+	if c2.Cancelled || c2.Exhaustive || len(c2.Errors) != 1 || len(c2.FailedRoots) != 1 {
+		t.Fatalf("failed-root census: cancelled=%v exhaustive=%v errors=%v", c2.Cancelled, c2.Exhaustive, c2.Errors)
 	}
 }
 

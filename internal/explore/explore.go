@@ -19,15 +19,18 @@
 // place from snapshots; other systems are rebuilt by their Builder for
 // every probe. Censuses can additionally prune reconverging schedule
 // prefixes through a state-fingerprint transposition table (prune.go,
-// Options.Prune), and with Options.Workers they split the tree into
-// frontier roots explored on one work-stealing pool (steal.go) and
-// folded back together in root order (dist.go).
+// Options.Prune). Every census runs on one work-stealing pool
+// (steal.go): at one worker as a single root, and with Options.Workers
+// split into frontier roots folded back together in root order
+// (dist.go). Visit alone walks the engine directly, on the caller's
+// goroutine.
 package explore
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,11 +96,11 @@ type Options struct {
 	MaxRuns int
 	// MaxStepsPerProc is forwarded to sim.Config.
 	MaxStepsPerProc int
-	// Workers fans a census (Run, RunCheckpointed) out to parallel
-	// workers over frontier subtree roots on the work-stealing pool;
-	// census totals are identical to the sequential walk. 0 or 1 means
-	// sequential; negative means GOMAXPROCS. Visit always walks
-	// sequentially.
+	// Workers is the width of a census's work-stealing pool (Run,
+	// RunCheckpointed): above 1 the tree is split into frontier roots
+	// the workers share; census totals are identical at every width.
+	// 0 or 1 means one worker, which Run gives the whole tree as one
+	// root; negative means GOMAXPROCS. Visit ignores it.
 	Workers int
 	// Prune enables transposition-table pruning in Run censuses: a
 	// subtree whose root state (fingerprint + remaining budgets) was
@@ -156,8 +159,9 @@ type Options struct {
 	// Supervision configures the pool's supervisor: retry policy for
 	// panicked items, the stall watchdog, chaos injection and event
 	// telemetry. Nil means the defaults (see Supervise); it never
-	// changes which runs a successful walk counts. Sequential walks
-	// ignore it (a sequential panic propagates).
+	// changes which runs a successful walk counts. It applies to every
+	// census at every width; Visit ignores it (a panic in Visit
+	// propagates).
 	Supervision *Supervise
 
 	// canon is the validated Canonicalizer resolved from the builder's
@@ -273,10 +277,31 @@ func (o Options) withDefaults() Options {
 	if o.ObjectFaults > 0 && len(o.FaultModes) == 0 {
 		o.FaultModes = []sim.FaultMode{sim.FaultCrash}
 	}
+	// A repeated mode would enumerate its fault choices twice.
+	var modes []sim.FaultMode
+	for _, m := range o.FaultModes {
+		if !slices.Contains(modes, m) {
+			modes = append(modes, m)
+		}
+	}
+	o.FaultModes = modes
 	if o.Symmetry || o.SleepSets {
 		o.Prune = true // both reducers live on the transposition table
 	}
 	return o
+}
+
+// resolve is withDefaults plus, when the census prunes, the symmetry
+// audit and the transposition table the walk shares (nil unpruned): its
+// keys hold absolute states and remaining budgets, so one table serves
+// walks from any prefix.
+func (o Options) resolve(b Builder) (Options, *pruneTable) {
+	o = o.withDefaults()
+	if !o.Prune {
+		return o, nil
+	}
+	o = resolveSymmetry(b, o)
+	return o, newPruneTable(o.PruneTableEntries)
 }
 
 // Outcome is one terminal run discovered by the explorer.
@@ -291,18 +316,16 @@ type Outcome struct {
 // Visit walks every terminal run reachable under opts in depth-first
 // order, calling visit for each; visit returning false stops the walk.
 // It returns the number of terminal runs visited and whether the walk
-// was exhaustive (false if stopped early or MaxRuns was hit). Visit is
-// always sequential (Options.Workers applies to censuses only): its
-// callers rely on the DFS delivery order.
+// was exhaustive (false if stopped early or MaxRuns was hit). Visit
+// walks the engine directly on the caller's goroutine, never on the
+// pool (Options.Workers and Options.Supervision apply to censuses
+// only): its callers rely on the DFS delivery order, and a supervised
+// retry would deliver runs twice.
 func Visit(b Builder, opts Options, visit func(Outcome) bool) (runs int, exhaustive bool) {
-	runs, exhaustive, _ = sequentialVisit(b, opts.withDefaults(), visit)
-	return runs, exhaustive
-}
-
-func sequentialVisit(b Builder, opts Options, visit func(Outcome) bool) (int, bool, bool) {
+	opts = opts.withDefaults()
 	en := &engine{b: b, opts: opts, visit: visit, ctx: opts.Context}
 	en.run()
-	return en.runs, !en.capped && !en.stopped && !en.cancelled, en.cancelled
+	return en.runs, !en.capped && !en.stopped && !en.cancelled
 }
 
 // replayPrefix runs a fresh system under the given choice prefix.
@@ -431,12 +454,11 @@ type Census struct {
 	// Exhaustive is false if the walk was truncated by MaxRuns or a
 	// count saturated at math.MaxInt.
 	Exhaustive bool
-	// Errors lists frontier roots permanently lost to worker failures
-	// after the supervisor's retry budget (pooled censuses only; a
-	// sequential walk lets the panic propagate). A non-empty Errors
-	// forces Exhaustive to false: every run counted is real, but
-	// coverage is partial. FailedRoots carries the same failures
-	// structured.
+	// Errors lists roots permanently lost to worker failures after the
+	// supervisor's retry budget, at any width: a one-worker census's one
+	// root is lost like any other. A non-empty Errors forces Exhaustive
+	// to false: every run counted is real, but coverage is partial.
+	// FailedRoots carries the same failures structured.
 	Errors      []string
 	FailedRoots []RootFailure
 	// Cancelled is true when the walk was cut short by Options.Context.
@@ -455,28 +477,13 @@ const MaxRecordedViolations = 5
 // check, if non-nil, is evaluated on complete runs; a non-nil error
 // records the outcome as a violation. With Options.Prune the walk
 // skips subtrees whose root state was already censused, crediting
-// their stored summaries — counts stay exact. With Options.Workers > 1
-// the frontier roots run on the work-stealing pool (steal.go), where
-// MaxRuns caps each pool item rather than the whole census.
+// their stored summaries — counts stay exact. The census runs on the
+// work-stealing pool (steal.go), where MaxRuns caps each pool item:
+// at one worker the whole tree is one root, and so one item; with
+// Options.Workers > 1 the tree is split into frontier roots, falling
+// back to the one root when the split would hit MaxRuns.
 func Run(b Builder, opts Options, check func(*sim.Result) error) *Census {
-	opts = opts.withDefaults()
-	var table *pruneTable
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
-		table = newPruneTable(opts.PruneTableEntries)
-	}
-	if opts.workerCount() > 1 {
-		if p, ok := newPlan(b, opts, check); ok {
-			return runPool(opts.ctx(), p, table, nil, nil, nil, nil).census(p)
-		}
-	}
-	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}
-	en.run()
-	c := censusFrom(en.acc, en.ids, b, opts, !en.capped && !en.cancelled)
-	c.Cancelled = en.cancelled
-	if table != nil {
-		c.Prune = table.statsSnapshot()
-		opts.markReducers(c.Prune)
-	}
-	return c
+	opts, table := opts.resolve(b)
+	pl := newPlan(b, opts, check, opts.workerCount() > 1)
+	return runPool(opts.ctx(), pl, table, nil, nil, nil, nil).census(pl)
 }

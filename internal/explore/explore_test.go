@@ -1,8 +1,10 @@
 package explore_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/explore"
@@ -30,6 +32,11 @@ func oneShot(n, steps int) explore.Builder {
 	}
 }
 
+// TestVisitCountsInterleavings: every census path counts exactly the
+// closed-form number of interleavings — Visit, Run at one and two
+// workers (unpruned, pruned, with sleep sets), a checkpointed census,
+// a census whose roots are leased through a remote seat, and
+// ExploreSubtree's walk of the whole tree (a nil prefix).
 func TestVisitCountsInterleavings(t *testing.T) {
 	tests := []struct {
 		n, steps int
@@ -40,15 +47,63 @@ func TestVisitCountsInterleavings(t *testing.T) {
 		{3, 1, 6},  // 3!
 		{2, 3, 20}, // 6!/(3!3!)
 	}
-	for _, tt := range tests {
-		runs, exhaustive := explore.Visit(oneShot(tt.n, tt.steps), explore.Options{}, func(explore.Outcome) bool { return true })
-		if !exhaustive {
-			t.Errorf("n=%d steps=%d: not exhaustive", tt.n, tt.steps)
-		}
-		if runs != tt.want {
-			t.Errorf("n=%d steps=%d: %d runs, want %d", tt.n, tt.steps, runs, tt.want)
+	census := func(c *explore.Census) (int, bool) { return c.Complete + c.Incomplete, c.Exhaustive }
+	run := func(opts explore.Options) func(*testing.T, explore.Builder) (int, bool) {
+		return func(_ *testing.T, b explore.Builder) (int, bool) { return census(explore.Run(b, opts, nil)) }
+	}
+	paths := []struct {
+		name  string
+		count func(*testing.T, explore.Builder) (int, bool)
+	}{
+		{"visit", func(_ *testing.T, b explore.Builder) (int, bool) {
+			return explore.Visit(b, explore.Options{}, func(explore.Outcome) bool { return true })
+		}},
+		{"run-w1", run(explore.Options{Workers: 1})},
+		{"run-w1-prune", run(explore.Options{Workers: 1, Prune: true})},
+		{"run-w1-sleepsets", run(explore.Options{Workers: 1, SleepSets: true})},
+		{"run-w2", run(explore.Options{Workers: 2})},
+		{"run-w2-prune", run(explore.Options{Workers: 2, Prune: true})},
+		{"run-w2-sleepsets", run(explore.Options{Workers: 2, SleepSets: true})},
+		{"checkpointed-w1", func(t *testing.T, b explore.Builder) (int, bool) {
+			c, _, err := explore.RunCheckpointed(b, explore.Options{Workers: 1}, nil,
+				explore.Checkpoint{Path: filepath.Join(t.TempDir(), "ck.json")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return census(c)
+		}},
+		{"seated", func(t *testing.T, b explore.Builder) (int, bool) {
+			return census(seated(t, b, explore.Options{}, nil, deliverAll(t, b, explore.Options{}, nil, "")))
+		}},
+		{"subtree-nil-prefix", func(t *testing.T, b explore.Builder) (int, bool) {
+			sum, _, err := explore.ExploreSubtree(context.Background(), b, explore.Options{}, nil, nil, explore.Checkpoint{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sum.Complete + sum.Incomplete, !sum.Capped
+		}},
+	}
+	for _, p := range paths {
+		for _, tt := range tests {
+			runs, exhaustive := p.count(t, oneShot(tt.n, tt.steps))
+			if !exhaustive {
+				t.Errorf("%s n=%d steps=%d: not exhaustive", p.name, tt.n, tt.steps)
+			}
+			if runs != tt.want {
+				t.Errorf("%s n=%d steps=%d: %d runs, want %d", p.name, tt.n, tt.steps, runs, tt.want)
+			}
 		}
 	}
+}
+
+// TestRepeatedFaultModeCountedOnce: a fault mode listed twice is
+// enumerated once, so the census equals the one listing it once.
+func TestRepeatedFaultModeCountedOnce(t *testing.T) {
+	b := faultyElection(2)
+	want := explore.Run(b, explore.Options{}.With(explore.WithObjectFaults(1, sim.FaultCrash, sim.FaultOmission)), disagreement)
+	got := explore.Run(b, explore.Options{}.With(
+		explore.WithObjectFaults(1, sim.FaultCrash, sim.FaultOmission, sim.FaultCrash, sim.FaultOmission)), disagreement)
+	assertCensusEqual(t, "repeated modes", got, want)
 }
 
 func TestVisitEarlyStop(t *testing.T) {

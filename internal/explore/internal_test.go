@@ -96,7 +96,7 @@ func TestPrunedViolationRepsReplay(t *testing.T) {
 func TestFrontierCoversTree(t *testing.T) {
 	b := rwAttempt
 	opts := Options{MaxCrashes: 1}.withDefaults()
-	seqRuns, _, _ := sequentialVisit(b, opts, func(Outcome) bool { return true })
+	seqRuns, _ := Visit(b, opts, func(Outcome) bool { return true })
 	items, ok := frontier(b, opts, 4)
 	if !ok {
 		t.Fatal("frontier enumeration capped unexpectedly")

@@ -52,7 +52,7 @@ func TestOrbitSkipsSymmetricRoots(t *testing.T) {
 
 // symmetricCASBuilder is a 2-process CAS consensus builder with its
 // symmetry spec declared — the smallest protocol whose frontier has
-// nontrivial orbits — for the DistPlan tests below.
+// nontrivial orbits — for the seated orbit tests below.
 func symmetricCASBuilder() explore.Builder {
 	props := []sim.Value{100, 101}
 	spec := consensus.CASSymmetric(2)
@@ -68,11 +68,11 @@ func symmetricCASBuilder() explore.Builder {
 	}
 }
 
-// TestDistPlanOrbitSkips: under a resolved symmetry spec the
-// distributable root set must shrink to orbit representatives, and
-// merging only their summaries must still reproduce the full census
-// bit for bit — the distributed form of orbit-aware generation, where
-// no shared transposition table exists to fold twins later.
+// TestDistPlanOrbitSkips: under a resolved symmetry spec the roots a
+// remote seat leases must shrink to orbit representatives, and the
+// census folded from only their delivered summaries must still
+// reproduce the full census bit for bit — orbit-aware generation where
+// the coordinator's transposition table sees none of the walks.
 func TestDistPlanOrbitSkips(t *testing.T) {
 	b := symmetricCASBuilder()
 	opts := explore.Options{MaxCrashes: 1, Workers: 2}
@@ -80,35 +80,23 @@ func TestDistPlanOrbitSkips(t *testing.T) {
 
 	symOpts := opts
 	symOpts.Symmetry = true
-	plan, ok := explore.NewDistPlan(b, symOpts, nil)
-	if !ok {
-		t.Fatal("exploration did not split")
+	var plain, reps int
+	seated(t, b, opts, nil, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		plain = len(leases)
+		deliverAll(t, b, opts, nil, "")(seat, leases)
+	})
+	got := seated(t, b, symOpts, nil, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		reps = len(leases)
+		deliverAll(t, b, symOpts, nil, "")(seat, leases)
+	})
+	if reps >= plain {
+		t.Fatalf("the orbit plan leased %d roots, the plain plan %d — no generation-time skips", reps, plain)
 	}
-	plain, ok := explore.NewDistPlan(b, opts, nil)
-	if !ok {
-		t.Fatal("plain exploration did not split")
-	}
-	if len(plan.Roots()) >= len(plain.Roots()) {
-		t.Fatalf("orbit plan hands out %d roots, plain plan %d — no generation-time skips",
-			len(plan.Roots()), len(plain.Roots()))
-	}
-
-	done := make(map[int]explore.RootSummary)
-	for _, root := range plan.Roots() {
-		sum, _, err := explore.ExploreSubtree(context.Background(), b, symOpts, nil,
-			plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
-		if err != nil {
-			t.Fatalf("root %d: %v", root, err)
-		}
-		done[root] = sum
-	}
-	got := plan.Merge(done, nil)
 	assertCensusCountsEqual(t, "orbit-dist", got, want)
 	if got.Prune == nil || got.Prune.OrbitSkips == 0 {
-		t.Fatalf("orbit merge reported no skips: %+v", got.Prune)
+		t.Fatalf("orbit census reported no skips: %+v", got.Prune)
 	}
-	t.Logf("dist roots %d -> %d, orbit skips %d",
-		len(plain.Roots()), len(plan.Roots()), got.Prune.OrbitSkips)
+	t.Logf("leased roots %d -> %d, orbit skips %d", plain, reps, got.Prune.OrbitSkips)
 }
 
 // TestDistPlanOrbitRepFailure: a twin whose representative was lost
@@ -118,28 +106,25 @@ func TestDistPlanOrbitSkips(t *testing.T) {
 func TestDistPlanOrbitRepFailure(t *testing.T) {
 	b := symmetricCASBuilder()
 	opts := explore.Options{MaxCrashes: 1, Workers: 2, Symmetry: true}
-	plan, ok := explore.NewDistPlan(b, opts, nil)
-	if !ok {
-		t.Fatal("exploration did not split")
-	}
-	roots := plan.Roots()
-	done := make(map[int]explore.RootSummary)
-	for _, root := range roots[1:] {
-		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil,
-			plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
-		if err != nil {
-			t.Fatalf("root %d: %v", root, err)
+	want := explore.Run(b, opts, nil)
+	var lost explore.RootSummary
+	c := seated(t, b, opts, nil, func(seat *explore.RemoteSeat, leases []explore.Claim) {
+		var err error
+		if lost, _, err = explore.ExploreSubtree(context.Background(), b, opts, nil, leases[0].Prefix, explore.Checkpoint{}, nil); err != nil {
+			t.Fatal(err)
 		}
-		done[root] = sum
-	}
-	failed := map[int]explore.RootFailure{
-		roots[0]: {Prefix: plan.Prefix(roots[0]), Attempts: 3, Err: "lost"},
-	}
-	c := plan.Merge(done, failed)
+		lose(t, seat, leases[0])
+		deliverAll(t, b, opts, nil, "")(seat, leases[1:])
+	})
 	if c.Exhaustive || c.Cancelled {
-		t.Fatalf("failed-rep merge: exhaustive=%v cancelled=%v, want false/false", c.Exhaustive, c.Cancelled)
+		t.Fatalf("failed-rep census: exhaustive=%v cancelled=%v, want false/false", c.Exhaustive, c.Cancelled)
 	}
 	if len(c.Errors) != 1 {
-		t.Fatalf("failed-rep merge recorded %d errors, want 1", len(c.Errors))
+		t.Fatalf("failed-rep census recorded %d errors, want 1", len(c.Errors))
+	}
+	// The deficit is the rep's subtree and its twins', not the rep's alone.
+	if deficit := want.Complete - c.Complete; deficit <= lost.Complete {
+		t.Fatalf("failed-rep census is short %d complete runs, the lost rep's own subtree %d: its twins were credited",
+			deficit, lost.Complete)
 	}
 }

@@ -104,10 +104,7 @@ func TestPooledCensusEvents(t *testing.T) {
 	if _, ok := frontier(countingBuilder(wideTree, &fc, 0), base, base.workerCount()); !ok {
 		t.Fatal("frontier capped unexpectedly")
 	}
-	plan, ok := NewDistPlan(wideTree, base, nil)
-	if !ok {
-		t.Fatal("no split")
-	}
+	plan := newPlan(wideTree, base, nil, true)
 	for _, prune := range []bool{false, true} {
 		var stats SuperviseStats
 		var calls atomic.Int64

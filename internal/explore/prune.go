@@ -75,11 +75,11 @@ type PruneStats struct {
 	Evictions uint64 `json:"evictions"`
 	// LostPublishes counts publishes refused because another worker
 	// had stored the same key first: a subtree walked twice. Zero for
-	// sequential censuses.
+	// one-worker censuses.
 	LostPublishes uint64 `json:"lost_publishes,omitempty"`
 	// Donations counts subtrees split off mid-walk by busy workers;
 	// Steals counts donated subtrees claimed by a different worker than
-	// their donor. Both are zero for sequential censuses.
+	// their donor. Both are zero for one-worker censuses.
 	Donations uint64 `json:"donations"`
 	Steals    uint64 `json:"steals"`
 	// Probes counts system replays (one per terminal run or table hit) —
@@ -95,8 +95,8 @@ type PruneStats struct {
 	// because their state lies in the symmetry orbit of an earlier
 	// root (orbit.go): each was credited its representative's summary
 	// — renamed into its own orientation — without ever being enqueued
-	// or explored. Zero for sequential censuses and when symmetry is
-	// off.
+	// or explored. Zero for one-root censuses (Run at one worker) and
+	// when symmetry is off.
 	OrbitSkips uint64 `json:"orbit_skips,omitempty"`
 	// SymmetryOn/SleepSetsOn record which reducers were ACTIVE (symmetry
 	// may be refused even when requested); SymmetryNote says why it was

@@ -29,7 +29,7 @@ type RemoteSeat struct {
 
 	mu      sync.Mutex
 	p       *stealPool // the pool running on the seat; nil before and after its run
-	pl      *DistPlan
+	pl      *distPlan
 	resumed int
 	steps   sync.WaitGroup // steps in flight on p
 }
@@ -52,7 +52,7 @@ func (s *RemoteSeat) RunCheckpointed(b Builder, opts Options, check func(*sim.Re
 // attach seats pool p of plan pl, which credited resumed roots from a
 // checkpoint; detach ends its run once the steps in flight on it have
 // returned, so the pool then folds its roots undisturbed.
-func (s *RemoteSeat) attach(p *stealPool, pl *DistPlan, resumed int) {
+func (s *RemoteSeat) attach(p *stealPool, pl *distPlan, resumed int) {
 	s.mu.Lock()
 	s.p, s.pl, s.resumed = p, pl, resumed
 	s.mu.Unlock()
@@ -115,7 +115,7 @@ func (s *RemoteSeat) Beat(root, gen int, now time.Time) (ok bool) {
 // recorded, saved and reported after Deliver returns, so the worker's
 // next lease does not wait for the checkpoint's fsync; the pool folds
 // its roots only once they are. A summary the plan cannot have produced
-// (DistPlan.CheckSummary) fails the attempt instead, as Fail does.
+// (distPlan.CheckSummary) fails the attempt instead, as Fail does.
 func (s *RemoteSeat) Deliver(root, gen int, sum RootSummary) Verdict {
 	return s.end(root, gen, func(p *stealPool, e int) (Verdict, []Event) {
 		if err := s.pl.CheckSummary(sum); err != nil {

@@ -109,10 +109,7 @@ func awaitRun(t *testing.T, res <-chan seatedRun) seatedRun {
 func TestRemoteSeatClaimRule(t *testing.T) {
 	opts := Options{MaxCrashes: 1, Workers: 1}
 	want := Run(wideTree, opts, disagreeCheck)
-	plan, ok := NewDistPlan(wideTree, opts, disagreeCheck)
-	if !ok {
-		t.Fatal("no split")
-	}
+	plan := newPlan(wideTree, opts.withDefaults(), disagreeCheck, true)
 	roots := len(plan.Roots())
 
 	t.Run("local-leaves-whole-entries-to-a-live-seat", func(t *testing.T) {
@@ -143,7 +140,7 @@ func TestRemoteSeatClaimRule(t *testing.T) {
 			if c.Donor != "" || c.Logged != 0 || c.Prefix == nil {
 				t.Errorf("remote claim of a split entry: %+v", c)
 			}
-			sum, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, c.Prefix, SubtreeCheckpoint{}, nil)
+			sum, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, c.Prefix, Checkpoint{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

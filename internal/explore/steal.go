@@ -11,13 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// The work-stealing pool: the one scheduler of frontier roots. Every
-// multi-worker census (Run with Workers > 1, pruned or not) and every
-// RunCheckpointed run explores its roots here. Pruning makes subtree
-// costs wildly uneven, so fixed roots load-balance badly; instead, when
-// the queue runs dry and a worker goes hungry, each busy engine, at its
-// next backtrack, donates every untried child of its shallowest open
-// frame as new queue entries and keeps walking its current branch.
+// The work-stealing pool: the one scheduler of census roots. Every
+// census — Run at any width, pruned or not, RunCheckpointed, every
+// leased subtree and every valence walk — explores its plan's roots
+// here. Pruning makes subtree costs wildly uneven, so fixed roots
+// load-balance badly; instead, when the queue runs dry and a worker
+// goes hungry, each busy engine, at its next backtrack, donates every
+// untried child of its shallowest open frame as new queue entries and
+// keeps walking its current branch.
 // Workers of other processes claim roots through the pool's remote seat
 // (remote.go).
 //
@@ -28,9 +29,9 @@ import (
 // stall watchdog and one summary per root. A settled root is one
 // EventResolved (EventFailed if lost), one onSettle call (the checkpoint
 // loop's record, checkpoint.go), and one summary for the root-order
-// merge (DistPlan.fold). A cancelled pool still counts each
+// merge (fold). A cancelled pool still counts each
 // live attempt's partial walk into its root, but never settles it.
-// Counts stay bit-identical to the sequential walk: summaries merge by
+// Counts stay bit-identical at every width: summaries merge by
 // addition, violation representatives keep DFS order (see rep), and
 // the table serves only complete summaries; engine.go keeps frames
 // that lost runs to a donation out of it.
@@ -89,14 +90,16 @@ type stealPool struct {
 }
 
 // pooled is a pool run folded in root order: the census total, the
-// interner of its outcome IDs, what the fold learned, the supervision
-// config (for its counters) and, when pruned, the table's counters.
+// interner of its outcome IDs, what the fold learned besides the counts,
+// the supervision config (for its counters) and, when pruned, the
+// table's counters.
 type pooled struct {
-	total *summary
-	ids   *outcomeIDs
-	folded
-	cfg   *supCfg
-	prune *PruneStats
+	total                 *summary
+	ids                   *outcomeIDs
+	exhaustive, cancelled bool
+	failures              []RootFailure
+	cfg                   *supCfg
+	prune                 *PruneStats
 }
 
 // runPool explores the roots of pl on the work-stealing pool, sharing
@@ -106,7 +109,7 @@ type pooled struct {
 // representative. onSettle observes each root that settles here, beat
 // every engine step, and seat (nil: none) seats remote workers at the
 // pool for its run.
-func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[int]RootSummary,
+func runPool(ctx context.Context, pl *distPlan, table *pruneTable, resumed map[int]RootSummary,
 	onSettle func(root int, r RootSummary), beat func(), seat *RemoteSeat) *pooled {
 	opts := pl.opts
 	cfg := opts.supervise()
@@ -150,30 +153,76 @@ func runPool(ctx context.Context, pl *DistPlan, table *pruneTable, resumed map[i
 			seat.detach()
 		}
 	}
+	return p.fold(pl, resumed)
+}
 
-	// Every worker and the watchdog have exited: the root bookkeeping is
-	// final and read without p.mu (the fold calls back into the builder
-	// and the check).
-	r := &pooled{total: newSummary(), ids: ids, cfg: cfg}
-	r.folded = pl.fold(r.total, ids, func(i int) (*summary, bool, bool) {
-		if s, ok := resumed[i]; ok {
-			return s.summary(ids, opts.FaultModes), s.Capped, true
+// fold merges the roots of pl in DFS root order: leaves are classified,
+// each root contributes the summary credited from resumed or counted
+// here, and an orbit twin without a settled summary of its own is
+// credited its representative's, renamed into the twin's orientation
+// (counted in OrbitSkips); a twin of a lost representative shares the
+// rep's recorded deficit. A failed root contributes nothing. A root
+// neither settled nor failed leaves the census cancelled, though any
+// partial count it carries is merged. Every worker and the watchdog
+// have exited, so the root bookkeeping is final and read without p.mu
+// (the fold calls back into the builder and the check).
+func (p *stealPool) fold(pl *distPlan, resumed map[int]RootSummary) *pooled {
+	root := func(i int) (s *summary, capped, settled bool) {
+		if r, ok := resumed[i]; ok {
+			return r.summary(p.ids, p.opts.FaultModes), r.Capped, true
 		}
 		return p.acc[i], p.capped[i], p.ledger.Settled(i)
-	}, p.ledger.Failures())
-	if table != nil {
-		r.prune = table.statsSnapshot()
+	}
+	failed := p.ledger.Failures()
+	r := &pooled{total: newSummary(), ids: p.ids, exhaustive: true, cfg: p.cfg}
+	var orbitSkips uint64
+	for i, it := range pl.items {
+		if it.prefix == nil {
+			r.total.addTerminal(*it.leaf, p.ids, p.check, p.opts.FaultModes)
+			continue
+		}
+		if fail, lost := failed[i]; lost {
+			r.failures = append(r.failures, fail)
+			r.exhaustive = false
+			continue
+		}
+		s, capped, settled := root(i)
+		if !settled && pl.orbit != nil && pl.orbit.rep[i] != i {
+			j := pl.orbit.rep[i]
+			if _, lost := failed[j]; lost {
+				r.exhaustive = false // the rep's failure records the deficit
+				continue
+			}
+			if s, capped, settled = root(j); settled {
+				r.total.merge(s, orbitRenamer(p.ids, p.opts.canon, pl.orbit.perm[j], pl.orbit.perm[i]))
+				orbitSkips++
+			}
+		} else if s != nil {
+			r.total.merge(s, nil)
+		}
+		switch {
+		case !settled:
+			r.exhaustive, r.cancelled = false, true
+		case capped:
+			r.exhaustive = false
+		}
+	}
+	if p.table != nil {
+		r.prune = p.table.statsSnapshot()
 		r.prune.Donations = p.donations.Load()
 		r.prune.Steals = p.steals.Load()
-		r.prune.OrbitSkips = r.orbitSkips
-		opts.markReducers(r.prune)
+		r.prune.OrbitSkips = orbitSkips
+		p.opts.markReducers(r.prune)
 	}
 	return r
 }
 
 // census turns a pool run of pl into its Census.
-func (r *pooled) census(pl *DistPlan) *Census {
-	c := pl.census(r.total, r.ids, r.folded)
+func (r *pooled) census(pl *distPlan) *Census {
+	c := censusFrom(r.total, r.ids, pl.b, pl.opts, r.exhaustive)
+	c.FailedRoots = r.failures
+	c.Errors = failureStrings(r.failures)
+	c.Cancelled = r.cancelled
 	c.Prune = r.prune
 	return c
 }

@@ -69,9 +69,9 @@ func TestExploreSubtreeLostSubRootIsError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			armed.Store(false)
-			var ck SubtreeCheckpoint
+			var ck Checkpoint
 			if tc.ck {
-				ck = SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1, Resume: true}
+				ck = Checkpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1, Resume: true}
 			}
 			opts, lost := opts, "lost after 2 attempts"
 			if tc.sym {
@@ -135,11 +135,11 @@ func TestCheckpointCorruptRepNotCredited(t *testing.T) {
 	})
 
 	t.Run("explore-subtree", func(t *testing.T) {
-		want, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, SubtreeCheckpoint{}, nil)
+		want, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, Checkpoint{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck := SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Resume: true}
+		ck := Checkpoint{Path: filepath.Join(t.TempDir(), "item.json"), Resume: true}
 		if _, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, ck, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +161,7 @@ func TestCheckpointCorruptRepNotCredited(t *testing.T) {
 // to a recorded or delivered summary refuses exactly the records no
 // walk of the plan produces.
 func TestCheckSummary(t *testing.T) {
-	plan, ok := NewDistPlan(wideTree, Options{ObjectFaults: 1, FaultModes: []sim.FaultMode{sim.FaultCrash, sim.FaultOmission}}, nil)
-	if !ok {
-		t.Fatal("no split")
-	}
+	plan := newPlan(wideTree, Options{ObjectFaults: 1, FaultModes: []sim.FaultMode{sim.FaultCrash, sim.FaultOmission}}.withDefaults(), nil, true)
 	rep := func(cs ...Choice) RootSummary { return RootSummary{Complete: 1, Violations: 1, Reps: [][]Choice{cs}} }
 	for _, tc := range []struct {
 		name string
@@ -197,7 +194,7 @@ func TestCheckSummary(t *testing.T) {
 func TestCheckpointSaveFaults(t *testing.T) {
 	opts := Options{MaxCrashes: 1, Workers: 2}
 	want := Run(wideTree, opts, disagreeCheck)
-	wantSum, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, SubtreeCheckpoint{}, nil)
+	wantSum, _, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +212,7 @@ func TestCheckpointSaveFaults(t *testing.T) {
 	walks := map[string]func(path string) (any, int, error){
 		"subtree": func(path string) (any, int, error) {
 			sum, st, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix,
-				SubtreeCheckpoint{Path: path, Every: 1}, nil)
+				Checkpoint{Path: path, Every: 1}, nil)
 			return sum, st.SubRoots, err
 		},
 		"census": func(path string) (any, int, error) {
@@ -276,11 +273,11 @@ func TestExploreSubtreeTerminalSplit(t *testing.T) {
 			t.Fatalf("the split holds a root %s", FormatSchedule(it.prefix))
 		}
 	}
-	want, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, prefix, SubtreeCheckpoint{}, nil)
+	want, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, prefix, Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1}
+	ck := Checkpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1}
 	got, stats, err := ExploreSubtree(context.Background(), wideTree, opts, nil, prefix, ck, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -302,15 +299,15 @@ func TestExploreSubtreeTerminalSplit(t *testing.T) {
 func TestExploreSubtreeSaveInterval(t *testing.T) {
 	opts := Options{MaxCrashes: 1}
 	want, wantStats, err := ExploreSubtree(context.Background(), wideTree, opts, disagreeCheck, leasedPrefix,
-		SubtreeCheckpoint{Path: filepath.Join(t.TempDir(), "every.json"), Every: 1}, nil)
+		Checkpoint{Path: filepath.Join(t.TempDir(), "every.json"), Every: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantStats.SubRoots <= 3 || wantStats.Saves != wantStats.SubRoots {
 		t.Fatalf("walk without an interval: %d sub-roots, %d saves; want more than 3, and one save each", wantStats.SubRoots, wantStats.Saves)
 	}
-	hourly := func(path string) SubtreeCheckpoint {
-		return SubtreeCheckpoint{Path: path, Every: 1, Interval: time.Hour, Resume: true}
+	hourly := func(path string) Checkpoint {
+		return Checkpoint{Path: path, Every: 1, Interval: time.Hour, Resume: true}
 	}
 
 	t.Run("finished", func(t *testing.T) {

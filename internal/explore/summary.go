@@ -70,7 +70,7 @@ type summary struct {
 	// subtree summaries are merged in — frame pops, table hits,
 	// work-stealing items resolving in any order, checkpointed roots — a
 	// summary keeps the violating runs that come first in the walk's DFS
-	// order, so a parallel census records exactly the sequential walk's
+	// order, so a parallel census records exactly the one-root walk's
 	// representatives. Their Results are replayed once, by censusFrom.
 	reps []string
 }

@@ -15,64 +15,34 @@ import (
 // Incomplete runs (depth bound hit) contribute the pseudo-fingerprint
 // "∞" so that non-terminating branches are visible in the valence.
 //
-// With Options.Prune (or a reducer implying it) the set is read off a
-// pruned census rooted at prefix: its outcome keys, plus "∞" if any run
-// is incomplete. Both walks are DFS; the pruned one counts the runs a
-// table hit credits, so where MaxRuns binds it covers at least the DFS
-// prefix the unpruned walk covers, and where it does not the sets are
-// equal.
+// The set is read off a one-root census at prefix on the pool (its
+// outcome keys, plus "∞" if any run is incomplete): one pool item, so
+// MaxRuns caps the whole walk. With Options.Prune (or a reducer
+// implying it) the census counts the runs a table hit credits, so where
+// MaxRuns binds it covers at least the DFS prefix the unpruned walk
+// covers, and where it does not the sets are equal. Valence has no
+// error result: a root lost past the supervisor's attempt budget
+// panics with its failure rather than read as a smaller valence.
 func Valence(b Builder, opts Options, prefix []Choice) []string {
-	opts, table := opts.valenceSetup(b)
+	opts, table := opts.resolve(b)
 	return valence(b, opts, table, prefix)
-}
-
-// valenceSetup resolves opts for valence walks and, when they prune,
-// makes the table they share: keys hold absolute states and remaining
-// budgets, so one table serves walks from any prefix.
-func (o Options) valenceSetup(b Builder) (Options, *pruneTable) {
-	o = o.withDefaults()
-	if !o.Prune {
-		return o, nil
-	}
-	o = resolveSymmetry(b, o)
-	return o, newPruneTable(o.PruneTableEntries)
 }
 
 // valence is Valence for resolved options; table is nil when unpruned.
 func valence(b Builder, opts Options, table *pruneTable, prefix []Choice) []string {
-	set := make(map[string]bool)
-	if table != nil {
-		en := &engine{b: b, opts: opts, acc: newSummary(), table: table, root: prefix, ctx: opts.Context}
-		en.run()
-		for _, o := range en.acc.outs {
-			set[en.ids.key(o.id)] = true
-		}
-		if en.acc.incomplete != (wide{}) {
-			set["∞"] = true
-		}
-	} else {
-		en := &engine{b: b, opts: opts, root: prefix, ctx: opts.Context, visit: func(o Outcome) bool {
-			if o.Result.Halted {
-				set["∞"] = true
-			} else {
-				set[DecisionFingerprint(o.Result)] = true
-			}
-			return true
-		}}
-		en.run()
+	r := runPool(opts.ctx(), rootPlan(b, opts, nil, append([]Choice{}, prefix...)), table, nil, nil, nil, nil)
+	if len(r.failures) > 0 {
+		panic(fmt.Sprintf("explore: valence: %v", r.failures[0]))
 	}
-	out := make([]string, 0, len(set))
-	for fp := range set {
-		out = append(out, fp)
+	out := make([]string, 0, len(r.total.outs)+1)
+	for _, o := range r.total.outs {
+		out = append(out, r.ids.key(o.id))
+	}
+	if r.total.incomplete != (wide{}) {
+		out = append(out, "∞")
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Bivalent reports whether at least two distinct decision fingerprints
-// are reachable from prefix.
-func Bivalent(b Builder, opts Options, prefix []Choice) bool {
-	return len(Valence(b, opts, prefix)) >= 2
 }
 
 // BivalencePath greedily extends a schedule, at every frontier choosing
@@ -88,7 +58,7 @@ func Bivalent(b Builder, opts Options, prefix []Choice) bool {
 // With Options.Prune every valence on the path comes from one shared
 // transposition table (see Valence).
 func BivalencePath(b Builder, opts Options, pathLen int) ([]Choice, bool) {
-	opts, table := opts.valenceSetup(b)
+	opts, table := opts.resolve(b)
 	bivalent := func(prefix []Choice) bool { return len(valence(b, opts, table, prefix)) >= 2 }
 	var path []Choice
 	for len(path) < pathLen {

@@ -60,9 +60,9 @@ type Witness struct {
 	Violation string
 	// Runs is the number of schedules explored.
 	Runs int
-	// Errors lists subtrees the exploration permanently lost (possible
-	// only under supervised parallel runs); non-empty means the verdict
-	// is not backed by a full census.
+	// Errors lists subtrees the exploration permanently lost past the
+	// supervisor's retry budget, at any worker count; non-empty means
+	// the verdict is not backed by a full census.
 	Errors []string
 	// Cancelled reports that the exploration was cut short by its
 	// context (deadline or interrupt) — same caveat as Errors.

@@ -48,6 +48,9 @@ go test -run '^$' -fuzz '^FuzzNewCanonicalizer$' -fuzztime 10s ./internal/sim/
 echo "== checkpoint fuzzing: LoadCheckpoint never panics, credits only roots of the plan, and a resume from it never panics"
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 10s -fuzzminimizetime 2s ./internal/explore/
 
+echo "== request fuzzing: Normalize never panics, and a request it accepts is canonical, identity-stable and builds"
+go test -run '^$' -fuzz '^FuzzRequestNormalize$' -fuzztime 10s ./internal/censusd/
+
 echo "== symmetry at n=6: the reduced census of cas k=7 n=6 must count what plain pruning counts"
 n6json="$(go run ./cmd/explore -protocol cas -k 7 -n 6 -crashes 1 -symmetry -sleepsets \
 	-maxruns 4611686018427387904 -bivalence=false -json)"
@@ -110,6 +113,17 @@ go run ./cmd/explore -protocol casdeg -k 3 -n 2 -crashes 1 -objfaults 1 \
 	-prune -workers 4 -maxruns 200000 -bivalence=false \
 	-checkpoint "$ck" -resume
 rm -f "$ck"
+
+echo "== width-1 chaos smoke: a one-worker census is supervised too, and retries injected kills to the unsupervised census"
+census1="go run ./cmd/explore -protocol casdeg -k 3 -n 2 -crashes 1 -objfaults 1 -prune -workers 1 -bivalence=false -json"
+plain1="$($census1)"
+chaos1="$($census1 -retries 5 -chaos-kills 2 -chaos-seed 9)"
+if ! printf '%s\n' "$chaos1" | jq -e '.supervision.kills >= 1' >/dev/null ||
+	[ "$(printf '%s\n' "$chaos1" | jq -S 'del(.supervision)')" != "$(printf '%s\n' "$plain1" | jq -S 'del(.supervision)')" ]; then
+	echo "verify: FAIL — the one-worker chaos census killed nothing or differs from the unsupervised census:" >&2
+	printf '%s\n' "$chaos1" >&2
+	exit 1
+fi
 
 echo "== daemon chaos smoke: kill -9 the census daemon mid-run, restart, assert bit-identical results"
 scripts/daemon_chaos.sh
